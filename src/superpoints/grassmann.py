@@ -10,12 +10,31 @@ Sign convention, fixed bit-exactly for reproducibility:
 merging two disjoint ascending monomials A and B costs one transposition per
 inversion, i.e. per pair ``i in A, j in B`` with ``i > j``; the product sign is
 ``(-1) ** inversions``.  Overlapping monomials multiply to zero.
+
+The product kernel works on integers.  Each operand is brought to one common
+denominator with integer numerators, products of numerators are summed per
+output monomial, and one ``Fraction`` per output term is built at the end, so
+the canonical form is the same as with ``Fraction`` arithmetic throughout.
+The sign of a pair is ``(-1) ** (mb & sign_mask(ma)).bit_count()``, where
+``sign_mask(ma)`` holds the bits lying below an odd number of the generators
+of ``ma``.  When the right operand has more terms than there are monomials
+disjoint from ``ma``, the kernel walks the submasks of the complement of
+``ma`` instead of scanning every pair, so a dense product visits ``3**n``
+pairs rather than ``4**n``.  Sums of products (matrix entries), base change
+(one product per source monomial, through a per-call table of monomial
+images) and powers and inverses (a series in the nilpotent part, at most
+``n`` products) share the kernel.
+
+Results of internal arithmetic go through a trusted constructor that skips
+the coercion and range checks of the public ``GrassmannElement(n, terms)``.
+The hash key of an element is built on first use.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 from .errors import DimensionError, NotInvertibleError, ParityError
@@ -69,7 +88,7 @@ class GrassmannElement:
     """An element of the Grassmann algebra on ``n`` generators, in canonical form.
 
     Immutable; all operations return new elements.  Canonical form stores no
-    zero coefficients, so equality is structural.
+    zero coefficients and only ``Fraction`` values, so equality is structural.
     """
 
     __slots__ = ("n", "terms", "_key")
@@ -87,7 +106,7 @@ class GrassmannElement:
             clean[mask] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_key", (n, tuple(sorted(clean.items()))))
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
@@ -129,9 +148,11 @@ class GrassmannElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, GrassmannElement) and self._key == other._key
+        return isinstance(other, GrassmannElement) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
+        if self._key is None:
+            object.__setattr__(self, "_key", (self.n, tuple(sorted(self.terms.items()))))
         return hash(self._key)
 
     # -- arithmetic sugar ----------------------------------------------------
@@ -173,12 +194,14 @@ class GrassmannElement:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """Binomial series ``sum_j C(k, j) b**(k-j) N**j`` in the nilpotent part ``N``;
+        ``N**j`` vanishes for ``j > n``, so at most ``n`` products are taken."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = GrassmannElement.one(self.n)
-        for _ in range(exponent):
-            result = gr_mul(result, self)
-        return result
+        b = body(self)
+        return _nil_series(
+            self, [comb(exponent, j) * b ** (exponent - j) for j in range(min(exponent, self.n) + 1)]
+        )
 
     def __str__(self):
         return format_element(self)
@@ -192,6 +215,133 @@ def _check_same_n(a: GrassmannElement, b: GrassmannElement):
         raise DimensionError(f"mismatched generator counts: {a.n} vs {b.n}")
 
 
+_set_n = GrassmannElement.n.__set__
+_set_terms = GrassmannElement.terms.__set__
+_set_key = GrassmannElement._key.__set__
+
+
+def _trusted(n: int, terms: dict[int, Fraction]) -> GrassmannElement:
+    """An element from canonical terms (nonzero ``Fraction`` values, masks in range)."""
+    e = object.__new__(GrassmannElement)
+    _set_n(e, n)
+    _set_terms(e, terms)
+    _set_key(e, None)
+    return e
+
+
+# -- the integer product kernel ---------------------------------------------------
+
+
+def _sign_mask(ma: int) -> int:
+    """Bits below an odd number of the generators of ``ma``: the sign of merging
+    ``ma`` with a disjoint ``mb`` is ``(-1) ** (mb & _sign_mask(ma)).bit_count()``."""
+    mask = 0
+    while ma:
+        low = ma & -ma
+        mask ^= low - 1
+        ma ^= low
+    return mask
+
+
+def _numerators(term_maps: list[Mapping[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
+    """The maps over one common denominator: ``(den, [{mask: numerator}, ...])``."""
+    den = lcm(*[c.denominator for terms in term_maps for c in terms.values()])
+    if den == 1:
+        return 1, [{m: c.numerator for m, c in terms.items()} for terms in term_maps]
+    return den, [
+        {m: c.numerator * (den // c.denominator) for m, c in terms.items()} for terms in term_maps
+    ]
+
+
+def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int], n: int) -> None:
+    """Add the product of the numerator maps ``left * right`` into ``acc``."""
+    get = acc.get
+    full = (1 << n) - 1
+    size = len(right)
+    pairs = right.items()
+    lookup = right.get
+    for ma, x in left.items():
+        sm = _sign_mask(ma)
+        neg = -x
+        free = full ^ ma
+        if size > 1 << free.bit_count():
+            s = free
+            while True:
+                y = lookup(s)
+                if y is not None:
+                    m = ma | s
+                    acc[m] = get(m, 0) + (neg * y if (s & sm).bit_count() & 1 else x * y)
+                if not s:
+                    break
+                s = (s - 1) & free
+        else:
+            for mb, y in pairs:
+                if not ma & mb:
+                    m = ma | mb
+                    acc[m] = get(m, 0) + (neg * y if (mb & sm).bit_count() & 1 else x * y)
+
+
+def _element(n: int, acc: dict[int, int], den: int) -> GrassmannElement:
+    """The element ``acc / den``: one ``Fraction`` per nonzero numerator."""
+    return _trusted(n, {m: Fraction(v, den) for m, v in acc.items() if v})
+
+
+def _matrix_product(
+    n: int, rows: Iterable[Iterable[GrassmannElement]], cols: Iterable[Iterable[GrassmannElement]]
+) -> list[list[GrassmannElement]]:
+    """The sums of products ``sum_k row[k] * col[k]`` for every row and column.
+
+    Each row and each column is brought to one denominator once, so the
+    products of an entry share the denominator ``row_den * col_den`` and the
+    entry is canonicalised once instead of once per product.
+    """
+    left = [_numerators([e.terms for e in row]) for row in rows]
+    right = [_numerators([e.terms for e in col]) for col in cols]
+    out = []
+    for row_den, row in left:
+        out_row = []
+        for col_den, col in right:
+            acc: dict[int, int] = {}
+            for x, y in zip(row, col):
+                if x and y:
+                    _mul_into(acc, x, y, n)
+            out_row.append(_element(n, acc, row_den * col_den))
+        out.append(out_row)
+    return out
+
+
+def _nil_series(a: GrassmannElement, weights: list[Fraction]) -> GrassmannElement:
+    """``sum_j weights[j] * N**j`` for the nilpotent part ``N`` of ``a``.
+
+    The powers stop at the first that vanishes, which is at ``N**(n+1)`` at
+    the latest, so at most ``n`` products are taken.
+    """
+    n = a.n
+    den, (nil,) = _numerators([{m: c for m, c in a.terms.items() if m}])
+    power: dict[int, int] = {0: 1}  # numerators of N**j over den**j
+    parts = []
+    for j, w in enumerate(weights):
+        if j:
+            acc: dict[int, int] = {}
+            _mul_into(acc, power, nil, n)
+            power = {m: v for m, v in acc.items() if v}
+            if not power:
+                break
+        if w:
+            parts.append((w, power, den**j))
+    total_den = lcm(*[w.denominator * d for w, _, d in parts])
+    total: dict[int, int] = {}
+    get = total.get
+    for w, p, d in parts:
+        scale = w.numerator * (total_den // (w.denominator * d))
+        for m, v in p.items():
+            total[m] = get(m, 0) + scale * v
+    return _element(n, total, total_den)
+
+
+# -- arithmetic -------------------------------------------------------------------
+
+
 def gr_add(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     _check_same_n(a, b)
     terms = dict(a.terms)
@@ -201,33 +351,35 @@ def gr_add(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
             terms[mask] = acc
         else:
             terms.pop(mask, None)
-    return GrassmannElement(a.n, terms)
+    return _trusted(a.n, terms)
 
 
 def gr_scale(r, a: GrassmannElement) -> GrassmannElement:
     r = Fraction(r)
     if not r:
         return GrassmannElement.zero(a.n)
-    return GrassmannElement(a.n, {mask: r * coeff for mask, coeff in a.terms.items()})
+    return _trusted(a.n, {mask: r * coeff for mask, coeff in a.terms.items()})
 
 
 def gr_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     _check_same_n(a, b)
-    terms: dict[int, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
-                continue
-            coeff = ca * cb
-            if monomial_sign(ma, mb) < 0:
-                coeff = -coeff
-            mask = ma | mb
-            acc = terms.get(mask, 0) + coeff
-            if acc:
-                terms[mask] = acc
-            else:
-                terms.pop(mask, None)
-    return GrassmannElement(a.n, terms)
+    at, bt = a.terms, b.terms
+    if len(at) == 1 or len(bt) == 1:
+        # one side has one term: the output monomials are distinct, so each
+        # coefficient is a single product of the inputs' Fractions
+        terms = {}
+        for ma, ca in at.items():
+            sm = _sign_mask(ma)
+            neg = -ca
+            for mb, cb in bt.items():
+                if not ma & mb:
+                    terms[ma | mb] = neg * cb if (mb & sm).bit_count() & 1 else ca * cb
+        return _trusted(a.n, terms)
+    da, (na,) = _numerators([at])
+    db, (nb,) = _numerators([bt])
+    acc: dict[int, int] = {}
+    _mul_into(acc, na, nb, a.n)
+    return _element(a.n, acc, da * db)
 
 
 def parity_of(a: GrassmannElement) -> Parity:
@@ -247,38 +399,28 @@ def body(a: GrassmannElement) -> Fraction:
 
 
 def nil_part(a: GrassmannElement) -> GrassmannElement:
-    return GrassmannElement(a.n, {m: c for m, c in a.terms.items() if m})
+    return _trusted(a.n, {m: c for m, c in a.terms.items() if m})
 
 
 def even_part(a: GrassmannElement) -> GrassmannElement:
-    return GrassmannElement(a.n, {m: c for m, c in a.terms.items() if not m.bit_count() & 1})
+    return _trusted(a.n, {m: c for m, c in a.terms.items() if not m.bit_count() & 1})
 
 
 def odd_part(a: GrassmannElement) -> GrassmannElement:
-    return GrassmannElement(a.n, {m: c for m, c in a.terms.items() if m.bit_count() & 1})
+    return _trusted(a.n, {m: c for m, c in a.terms.items() if m.bit_count() & 1})
 
 
 def gr_inv(a: GrassmannElement) -> GrassmannElement:
     """Inverse of an element with nonzero body.
 
     With ``b = body(a)`` and ``c = nil_part(a)`` the inverse is the finite sum
-    ``(1/b) * sum_{k=0..n} (-1)^k (c/b)^k``; the series is exact because the
+    ``sum_{k=0..n} (-1)^k c^k / b^(k+1)``; the series is exact because the
     nilpotent part to the ``n+1``-st power vanishes.
     """
     b = body(a)
     if not b:
         raise NotInvertibleError("not invertible: zero body")
-    x = gr_scale(1 / b, nil_part(a))
-    result = GrassmannElement.one(a.n)
-    power = GrassmannElement.one(a.n)
-    sign = 1
-    for _ in range(a.n):
-        power = gr_mul(power, x)
-        if power.is_zero():
-            break
-        sign = -sign
-        result = gr_add(result, gr_scale(sign, power))
-    return gr_scale(1 / b, result)
+    return _nil_series(a, [(-1) ** k / b ** (k + 1) for k in range(a.n + 1)])
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -355,17 +497,40 @@ class GrassmannMorphism:
 
 
 def morphism_apply(phi: GrassmannMorphism, a: GrassmannElement) -> GrassmannElement:
+    """Substitute the generator images into ``a``.
+
+    The image of each monomial is the image of the monomial without its top
+    generator times the image of that generator, so a table filled during the
+    call takes one product per monomial.  The generator images share one
+    denominator ``d``, and the table holds numerators over ``d**degree``.
+    """
     if a.n != phi.src_n:
         raise DimensionError(f"element over {a.n} generators, morphism expects {phi.src_n}")
-    result = GrassmannElement.zero(phi.dst_m)
-    for mask, coeff in a.terms.items():
-        term = GrassmannElement.scalar(phi.dst_m, coeff)
-        for i in indices_of_mask(mask):
-            term = gr_mul(term, phi.images[i - 1])
-            if term.is_zero():
-                break
-        result = gr_add(result, term)
-    return result
+    m = phi.dst_m
+    d, gens = _numerators([img.terms for img in phi.images])
+    table: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def image(mask: int) -> dict[int, int]:
+        img = table.get(mask)
+        if img is None:
+            top = mask.bit_length() - 1
+            rest = image(mask ^ (1 << top))
+            acc: dict[int, int] = {}
+            if rest:
+                _mul_into(acc, rest, gens[top], m)
+            img = table[mask] = {x: v for x, v in acc.items() if v}
+        return img
+
+    den, (coeffs,) = _numerators([a.terms])
+    images = [(c, mask.bit_count(), img) for mask, c in coeffs.items() if (img := image(mask))]
+    top = max((k for _, k, _ in images), default=0)
+    total: dict[int, int] = {}
+    get = total.get
+    for c, k, img in images:
+        scale = c * d ** (top - k)
+        for x, v in img.items():
+            total[x] = get(x, 0) + scale * v
+    return _element(m, total, den * d**top)
 
 
 def morphism_compose(psi: GrassmannMorphism, phi: GrassmannMorphism) -> GrassmannMorphism:

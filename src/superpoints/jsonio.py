@@ -30,6 +30,9 @@ def fraction_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
+        _, _, den = value.partition("/")
+        if den and not int(den):
+            raise ValueError(f"zero denominator in {value!r}")
         return Fraction(value)
     raise ValueError(f"expected a rational string 'p' or 'p/q', got {value!r}")
 

@@ -108,15 +108,17 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        values = [self.term()]
         while True:
             token = self.peek()
             if token.kind == "OP" and token.value in "+-":
                 self.next()
                 rhs = self.term()
-                value = value + rhs if token.value == "+" else value - rhs
+                values.append(rhs if token.value == "+" else -rhs)
+            elif len(values) == 1:
+                return values[0]
             else:
-                return value
+                return self.algebra.sum(values)
 
     def term(self):
         value = self.factor()
@@ -172,6 +174,16 @@ class _Parser:
         return value
 
 
+def _merge(term_maps) -> dict:
+    """Key-by-key sum of coefficient maps, in one pass over all their terms."""
+    total: dict = {}
+    get = total.get
+    for terms in term_maps:
+        for key, coeff in terms.items():
+            total[key] = get(key, 0) + coeff
+    return total
+
+
 class _GrassmannAlgebra:
     def __init__(self, n: int):
         self.n = n
@@ -186,6 +198,9 @@ class _GrassmannAlgebra:
 
     def variable(self, k: int, pos: int):
         raise ParseError("even variables are not allowed in a Grassmann expression", pos)
+
+    def sum(self, values: list[GrassmannElement]) -> GrassmannElement:
+        return GrassmannElement(self.n, _merge(v.terms for v in values))
 
 
 class _SuperfunctionAlgebra:
@@ -206,6 +221,15 @@ class _SuperfunctionAlgebra:
             raise ParseError(f"variable x{k} outside 1..{self.p}", pos)
         return Superfunction.coordinate(self.p, self.q, k)
 
+    def sum(self, values: list[Superfunction]) -> Superfunction:
+        by_mask: dict[int, list] = {}
+        for v in values:
+            for mask, poly in v.terms.items():
+                by_mask.setdefault(mask, []).append(poly.terms)
+        return Superfunction(
+            self.p, self.q, {mask: PolyCoeff(self.p, _merge(polys)) for mask, polys in by_mask.items()}
+        )
+
 
 class _PolyAlgebra:
     def __init__(self, nvars: int):
@@ -221,6 +245,9 @@ class _PolyAlgebra:
         if not 1 <= k <= self.nvars:
             raise ParseError(f"variable x{k} outside 1..{self.nvars}", pos)
         return PolyCoeff.variable(self.nvars, k)
+
+    def sum(self, values: list[PolyCoeff]) -> PolyCoeff:
+        return PolyCoeff(self.nvars, _merge(v.terms for v in values))
 
 
 def parse_element(text: str, n: int) -> GrassmannElement:

@@ -414,8 +414,16 @@ class Superfunction:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = Superfunction.const(self.p, self.q, 1)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+                if base.is_zero():
+                    return Superfunction.zero(self.p, self.q)
         return result
 
     def __str__(self):

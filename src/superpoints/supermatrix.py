@@ -19,9 +19,9 @@ from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
     Parity,
+    _matrix_product,
     body,
     gr_add,
-    gr_mul,
     gr_scale,
     morphism_apply,
     parity_of,
@@ -112,20 +112,7 @@ def mat_add(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
 
 def mat_mul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     _check_compatible(a, b)
-    d = a.space.dim
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = GrassmannElement.zero(a.n)
-            for k in range(d):
-                x = a.entries[i][k]
-                y = b.entries[k][j]
-                if x.terms and y.terms:
-                    acc = gr_add(acc, gr_mul(x, y))
-            row.append(acc)
-        rows.append(row)
-    return SuperMatrix(a.space, a.n, rows)
+    return SuperMatrix(a.space, a.n, _matrix_product(a.n, a.entries, zip(*b.entries)))
 
 
 def mat_scale(r, a: SuperMatrix) -> SuperMatrix:

@@ -45,6 +45,11 @@ class TestEval:
         assert code == 0
         assert out == "x1^2 - t1*t2\n"
 
+    def test_huge_power_of_nilpotent_generator(self, capsys):
+        for context in (["-n", "3"], ["-p", "1", "-q", "3"]):
+            code, out, err = run_cli(capsys, "eval", *context, "t1^99999999")
+            assert (code, out, err) == (0, "0\n", "")
+
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "eval", "-n", "2", "t1 + $")
         assert code == 2
@@ -99,6 +104,13 @@ class TestMatrixCommands:
         code, _, err = run_cli(capsys, "minv", str(path))
         assert code == 1
         assert "not invertible" in err
+
+    def test_zero_denominator_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        entry = {"n": 1, "terms": [{"idx": [], "coeff": "1/0"}]}
+        path.write_text(json.dumps({"space": {"p": 1, "q": 0}, "n": 1, "entries": [[entry]]}))
+        code, out, err = run_cli(capsys, "strace", str(path))
+        assert (code, out, err) == (1, "", "zero denominator in '1/0'\n")
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -44,6 +44,12 @@ class TestRationals:
         with pytest.raises(ValueError):
             jsonio.fraction_from_json(0.5)
 
+    def test_zero_denominator_rejected(self):
+        for text in ("1/0", "-3/00"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                jsonio.fraction_from_json(text)
+        assert jsonio.fraction_from_json("0/7") == 0
+
 
 class TestRoundTrips:
     def test_element(self):
