@@ -32,6 +32,7 @@ The hash key of an element is built on first use.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
@@ -41,6 +42,9 @@ from .errors import DimensionError, NotInvertibleError, ParityError
 
 #: Monomials are bitmasks; 64 generators is far beyond desk scale already.
 MAX_GENERATORS = 64
+
+#: The grammar of a coefficient string: an integer ``p`` or a fraction ``p/q``.
+RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
 
 class Parity(Enum):
@@ -63,6 +67,23 @@ def monomial_sign(a: int, b: int) -> int:
         swaps += (a >> low.bit_length()).bit_count()
         rest ^= low
     return -1 if swaps & 1 else 1
+
+
+def parse_rational(text: str) -> Fraction:
+    """A coefficient string in the grammar ``RATIONAL_RE`` as a ``Fraction``."""
+    if not RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
+    _, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(text)
+
+
+def as_fraction(value) -> Fraction:
+    """A coefficient as a ``Fraction``; strings must match ``RATIONAL_RE``."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    return Fraction(value)
 
 
 def mask_of_indices(indices: Iterable[int]) -> int:
@@ -98,7 +119,7 @@ class GrassmannElement:
             raise DimensionError(f"generator count must be in 0..{MAX_GENERATORS}, got {n}")
         clean: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else as_fraction(coeff)
             if not c:
                 continue
             if mask < 0 or mask >> n:
@@ -119,7 +140,7 @@ class GrassmannElement:
 
     @classmethod
     def scalar(cls, n: int, value) -> "GrassmannElement":
-        return cls(n, {0: Fraction(value)})
+        return cls(n, {0: value})
 
     @classmethod
     def one(cls, n: int) -> "GrassmannElement":
@@ -134,7 +155,7 @@ class GrassmannElement:
 
     @classmethod
     def monomial(cls, n: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
-        return cls(n, {mask_of_indices(indices): Fraction(coeff)})
+        return cls(n, {mask_of_indices(indices): coeff})
 
     # -- structure ----------------------------------------------------------
 

@@ -7,19 +7,22 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import DimensionError
-from .grassmann import GrassmannElement, GrassmannMorphism, indices_of_mask, mask_of_indices
+from .grassmann import (
+    GrassmannElement,
+    GrassmannMorphism,
+    indices_of_mask,
+    mask_of_indices,
+    parse_rational,
+)
 from .parser import parse_poly
 from .points import LambdaPoint, NaturalityReport, SuperrepVerdict
 from .poly import PolyCoeff, format_poly
 from .skeleton import Skeleton, Superfunction
 from .superlinear import MultilinearMap, SuperSpace
 from .supermatrix import SuperMatrix
-
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -29,11 +32,8 @@ def fraction_to_str(value: Fraction) -> str:
 def fraction_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
-        _, _, den = value.partition("/")
-        if den and not int(den):
-            raise ValueError(f"zero denominator in {value!r}")
-        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
     raise ValueError(f"expected a rational string 'p' or 'p/q', got {value!r}")
 
 

@@ -38,14 +38,6 @@ def random_element(
     return GrassmannElement(n, terms)
 
 
-def random_soul(rng: random.Random, n: int, parity: Parity, max_terms: int = 2) -> GrassmannElement:
-    """A random nilpotent element of the requested parity."""
-    element = random_element(rng, n, parity, max_terms)
-    if parity is Parity.EVEN:
-        return GrassmannElement(n, {m: c for m, c in element.terms.items() if m})
-    return element
-
-
 def random_morphism(
     rng: random.Random, src_n: int, dst_m: int, max_terms: int = 2
 ) -> GrassmannMorphism:

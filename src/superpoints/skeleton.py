@@ -18,21 +18,23 @@ an algebra morphism into the Grassmann algebra itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, lcm, prod
+from operator import sub
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParityError
 from .grassmann import (
     GrassmannElement,
+    _sign_mask,
     even_part,
     gr_add,
     gr_mul,
     indices_of_mask,
     mask_of_indices,
-    monomial_sign,
     odd_part,
 )
 from .points import (
@@ -45,7 +47,7 @@ from .points import (
     reversal_sign,
     scale_point,
 )
-from .poly import PolyCoeff
+from .poly import PolyCoeff, monomial_value, poly_dot, power_tables
 from .superlinear import MultilinearMap, SuperSpace
 
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -132,39 +134,82 @@ def identity_skeleton(space: SuperSpace) -> Skeleton:
 # Works uniformly over a coefficient ring: exact rationals for evaluation at a
 # concrete point, polynomials for the symbolic probes used by composition.
 # "Grassmann scratch values" are plain dicts mask -> ring coefficient with the
-# same sign rule as GrassmannElement.
-
-
-def _gd_add_term(acc: dict, mask: int, value):
-    prev = acc.get(mask)
-    total = value if prev is None else prev + value
-    if total:
-        acc[mask] = total
-    else:
-        acc.pop(mask, None)
+# same sign rule as GrassmannElement; a pair is signed by
+# ``(mb & _sign_mask(ma)).bit_count() & 1``, as in the Grassmann kernel.
+#
+# One pass over the terms of a coefficient polynomial P yields all of its
+# Taylor coefficients ``D^alpha P(u) / alpha!`` with ``|alpha| <= max_k``: a
+# term ``c * x^e`` contributes ``c * prod_a C(e_a, alpha_a) * u_a^(e_a - alpha_a)``
+# to every ``alpha <= e``.  The expansion of each exponent tuple, the powers
+# of ``u`` (one table per call) and the products ``nu_I * mu^alpha`` (one per
+# pair ``(I, alpha)``, shared by the codomain entries) are built once per call.
+# With no even nilpotent part only ``alpha = 0`` survives, so ``max_k`` is 0.
+# Sums are not built one addition at a time: the products that meet in one
+# Taylor coefficient or one output monomial are collected and summed at once
+# by the ring's sum-of-products kernel (``poly_dot`` for polynomials, one
+# integer numerator for rationals).
 
 
 def _gd_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
+    pending: dict[int, list] = {}
     for ma, ca in a.items():
+        sm = _sign_mask(ma)
+        neg = -ca
         for mb, cb in b.items():
-            if ma & mb:
-                continue
-            v = ca * cb
-            if monomial_sign(ma, mb) < 0:
-                v = -v
-            _gd_add_term(out, ma | mb, v)
+            if not ma & mb:
+                pending.setdefault(ma | mb, []).append((neg if (mb & sm).bit_count() & 1 else ca, cb))
+    return _gd_sum(pending)
+
+
+def _gd_sum(pending: dict) -> dict:
+    """``{key: sum(x * y for x, y in pairs)}`` without the zero sums, through
+    the sum-of-products kernel of the coefficient ring."""
+    if not pending:
+        return {}
+    ring = next(iter(pending.values()))[0][0]
+    dot = functools.partial(poly_dot, ring.nvars) if isinstance(ring, PolyCoeff) else _fraction_dot
+    out = {}
+    for key, pairs in pending.items():
+        value = dot(pairs)
+        if value:
+            out[key] = value
     return out
 
 
-def _multisets(nvars: int, max_total: int):
-    """All exponent tuples over ``nvars`` variables with total degree <= max_total."""
-    if nvars == 0:
-        yield ()
-        return
-    for first in range(max_total + 1):
-        for rest in _multisets(nvars - 1, max_total - first):
-            yield (first,) + rest
+def _fraction_dot(pairs) -> Fraction:
+    """``sum(x * y for x, y in pairs)`` over one integer numerator."""
+    dens = [x.denominator * y.denominator for x, y in pairs]
+    den = lcm(*dens)
+    return Fraction(sum([x.numerator * y.numerator * (den // d) for (x, y), d in zip(pairs, dens)]), den)
+
+
+def _taylor_expansions(exponents, u: Sequence, max_k: int, ring_one) -> dict:
+    """``{e: [(alpha, C(e, alpha) * u**(e - alpha)), ...]}`` for ``alpha <= e``, ``|alpha| <= max_k``."""
+    shapes = {
+        e: [
+            (alpha, tuple(map(sub, e, alpha)), prod(map(comb, e, alpha)))
+            for alpha in itertools.product(*[range(min(x, max_k) + 1) for x in e])
+            if sum(alpha) <= max_k
+        ]
+        for e in exponents
+    }
+    rests = {rest for shape in shapes.values() for _, rest, _ in shape}
+    tables = power_tables(u, rests, ring_one)
+    values = {rest: monomial_value(tables, rest, ring_one) for rest in rests}
+    return {
+        e: [(alpha, values[rest] * binom) for alpha, rest, binom in shape]
+        for e, shape in shapes.items()
+    }
+
+
+def _taylor_coefficients(poly: PolyCoeff, expansions: dict) -> dict:
+    """``{alpha: D^alpha poly(u) / alpha!}`` without the zeros, from the
+    expansions of ``_taylor_expansions`` at ``u``."""
+    pending: dict[tuple[int, ...], list] = {}
+    for e, coeff in poly.terms.items():
+        for alpha, value in expansions[e]:
+            pending.setdefault(alpha, []).append((value, coeff))
+    return _gd_sum(pending)
 
 
 def _eval_engine(
@@ -178,14 +223,17 @@ def _eval_engine(
     """Sum over form degrees and even-derivative multi-indices.
 
     The contribution of the degree-``m`` form on ascending odd directions
-    ``I``, differentiated by the even multi-index ``alpha`` and evaluated at
-    the body ``u``, is weighted by ``1/prod(alpha!)``, carries the reversal
-    sign of the ``m`` odd factors, and multiplies the ascending product of odd
-    coordinates with the even nilpotent powers ``mu**alpha``.
+    ``I`` is, for each multi-index ``alpha``, its Taylor coefficient
+    ``D^alpha P(u) / alpha!`` times the reversal sign of the ``m`` odd
+    factors times the ascending product of odd coordinates with the even
+    nilpotent powers ``mu**alpha``.
     """
     p = skel.domain.p
-    out: list[dict] = [dict() for _ in range(skel.codomain.dim)]
-    max_k = n // 2
+    max_k = n // 2 if any(mu) else 0
+    forms = skel.forms[: min(skel.domain.q, n) + 1]
+    expansions = _taylor_expansions(
+        {e for table in forms for poly in table.values() for e in poly.terms}, u, max_k, ring_one
+    )
 
     mu_power_cache: dict[tuple[int, ...], dict] = {(0,) * p: {0: ring_one}}
 
@@ -209,31 +257,24 @@ def _eval_engine(
         nu_prod_cache[odd_idx] = value
         return value
 
-    alphas = [alpha for alpha in _multisets(p, max_k)]
-    for m in range(min(skel.domain.q, n) + 1):
-        sign = reversal_sign(m)
-        for (odd_idx, c), poly in skel.forms[m].items():
+    pending: list[dict] = [dict() for _ in range(skel.codomain.dim)]
+    products: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
+    for m, table in enumerate(forms):
+        negate = reversal_sign(m) < 0
+        for (odd_idx, c), poly in table.items():
             base = nu_product(odd_idx)
             if not base:
                 continue
-            for alpha in alphas:
-                dpoly = poly.diff_multi(alpha)
-                if dpoly.is_zero():
-                    continue
-                factor = mu_power(alpha)
-                if not factor:
-                    continue
-                value = dpoly.eval(u, one=ring_one)
-                if not value:
-                    continue
-                weight = Fraction(sign)
-                for e in alpha:
-                    weight /= factorial(e)
-                scalar = value * weight
-                term = _gd_mul(base, factor)
+            acc = pending[c - 1]
+            for alpha, value in _taylor_coefficients(poly, expansions).items():
+                term = products.get((odd_idx, alpha))
+                if term is None:
+                    term = products[(odd_idx, alpha)] = _gd_mul(base, mu_power(alpha))
+                if negate:
+                    value = -value
                 for mask, coeff in term.items():
-                    _gd_add_term(out[c - 1], mask, coeff * scalar)
-    return out
+                    acc.setdefault(mask, []).append((coeff, value))
+    return [_gd_sum(acc) for acc in pending]
 
 
 def _check_box(skel: Skeleton, u: Sequence[Fraction]):
@@ -437,32 +478,7 @@ def superfunction_mul(f: Superfunction, g: Superfunction) -> Superfunction:
     """Supercommutative product: odd monomials merge with the Grassmann sign rule."""
     if (f.p, f.q) != (g.p, g.q):
         raise DimensionError("mismatched superdomain formats")
-    terms: dict[int, PolyCoeff] = {}
-    for ma, pa in f.terms.items():
-        for mb, pb in g.terms.items():
-            if ma & mb:
-                continue
-            poly = pa * pb
-            if monomial_sign(ma, mb) < 0:
-                poly = -poly
-            key = ma | mb
-            total = terms.get(key, PolyCoeff.zero(f.p)) + poly
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-    return Superfunction(f.p, f.q, terms)
-
-
-def superfunction_parity(f: Superfunction):
-    degrees = {mask.bit_count() & 1 for mask in f.terms}
-    if not degrees:
-        return "zero"
-    if degrees == {0}:
-        return "even"
-    if degrees == {1}:
-        return "odd"
-    return "indefinite"
+    return Superfunction(f.p, f.q, _gd_mul(f.terms, g.terms))
 
 
 def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
