@@ -14,6 +14,7 @@ from .errors import (
     ParityError,
     ParseError,
     ReconstructionError,
+    SchemaError,
 )
 from .grassmann import (
     GrassmannElement,

@@ -19,8 +19,10 @@ from .errors import (
     ParityError,
     ParseError,
     ReconstructionError,
+    SchemaError,
 )
-from .grassmann import GrassmannElement, gr_add, gr_inv, gr_mul
+from .grassmann import GrassmannElement, format_terms, gr_add, gr_inv, gr_mul
+from .jsonio import _expect, _field, _int_list
 from .parser import parse_element, parse_superfunction
 from .points import (
     CandidateModule,
@@ -54,7 +56,7 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
-def family_from_json(obj) -> PointFamily:
+def family_from_json(obj, path: str = "$") -> PointFamily:
     """Build a point family from coordinate polynomial data.
 
     Each term contributes ``coeff * product(vars) * t_theta`` to one output
@@ -63,25 +65,33 @@ def family_from_json(obj) -> PointFamily:
     of the ambient algebra (absent from algebras that are too small, which is
     exactly how fixed-algebra artifacts enter).
     """
-    domains = tuple(jsonio.space_from_json(d) for d in obj["domains"])
-    codomain = jsonio.space_from_json(obj["codomain"])
-    n_max = int(obj.get("n_max", N_MAX_DEFAULT))
+    domains = tuple(
+        jsonio.space_from_json(d, f"{path}.domains[{i}]")
+        for i, d in enumerate(_field(obj, path, "domains", list))
+    )
+    codomain = jsonio.space_from_json(_field(obj, path, "codomain", dict), f"{path}.codomain")
+    n_max = _field(obj, path, "n_max", int, N_MAX_DEFAULT)
     compiled = []
-    for output in obj["outputs"]:
-        c = int(output["out"])
+    for i, output in enumerate(_field(obj, path, "outputs", list)):
+        at = f"{path}.outputs[{i}]"
+        c = _field(output, at, "out", int)
         if not 1 <= c <= codomain.dim:
             raise ValueError(f"output coordinate {c} outside 1..{codomain.dim}")
-        for term in output.get("terms", []):
-            coeff = jsonio.fraction_from_json(term["coeff"])
+        for j, term in enumerate(_field(output, at, "terms", list, [])):
+            term_at = f"{at}.terms[{j}]"
+            coeff = jsonio.fraction_from_json(_field(term, term_at, "coeff", (str, int)))
             var_list = []
-            for pair in term.get("vars", []):
-                arg, coord = int(pair[0]), int(pair[1])
+            for k, pair in enumerate(_field(term, term_at, "vars", list, [])):
+                pair_at = f"{term_at}.vars[{k}]"
+                if len(_int_list(_expect(pair, list, pair_at), pair_at)) != 2:
+                    raise SchemaError(f"{pair_at}: expected a pair [argument, coordinate]")
+                arg, coord = pair
                 if not 1 <= arg <= len(domains):
                     raise ValueError(f"argument index {arg} outside 1..{len(domains)}")
                 if not 1 <= coord <= domains[arg - 1].dim:
                     raise ValueError(f"coordinate index {coord} outside the format of argument {arg}")
                 var_list.append((arg, coord))
-            theta = tuple(int(i) for i in term.get("theta", []))
+            theta = tuple(_int_list(_field(term, term_at, "theta", list, []), f"{term_at}.theta"))
             compiled.append((c, coeff, var_list, theta))
 
     def component(n: int, args: tuple[LambdaPoint, ...]) -> LambdaPoint:
@@ -102,12 +112,15 @@ def family_from_json(obj) -> PointFamily:
     return PointFamily(domains, codomain, component, n_max)
 
 
-def candidate_from_json(obj) -> CandidateModule:
-    ambient = jsonio.space_from_json(obj["ambient"])
-    n_max = int(obj["n_max"])
+def candidate_from_json(obj, path: str = "$") -> CandidateModule:
+    ambient = jsonio.space_from_json(_field(obj, path, "ambient", dict), f"{path}.ambient")
+    n_max = _field(obj, path, "n_max", int)
     table = {}
-    for key, points in obj["basis"].items():
-        table[int(key)] = [jsonio.point_from_json(x) for x in points]
+    for key, points in _field(obj, path, "basis", dict).items():
+        at = f"{path}.basis.{key}"
+        if not key.isdecimal():
+            raise SchemaError(f"{at}: a basis key is a generator count")
+        table[int(key)] = [jsonio.point_from_json(x, f"{at}[{i}]") for i, x in enumerate(_expect(points, list, at))]
     for n in range(n_max + 1):
         if n not in table:
             raise ValueError(f"candidate module is missing a basis for n={n}")
@@ -170,8 +183,8 @@ def _cmd_minv(args) -> int:
 
 def _cmd_lift(args) -> int:
     obj = _load_json(args.file)
-    f = jsonio.multilinear_from_json(obj["map"])
-    points = [jsonio.point_from_json(x) for x in obj["args"]]
+    f = jsonio.multilinear_from_json(_field(obj, "$", "map", dict), "$.map")
+    points = [jsonio.point_from_json(x, f"$.args[{i}]") for i, x in enumerate(_field(obj, "$", "args", list))]
     _emit(jsonio.point_to_json(lift_multilinear(f, points)))
     return 0
 
@@ -184,9 +197,15 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_check_nat(args) -> int:
     obj = _load_json(args.file)
-    family = family_from_json(obj["family"])
-    phi = jsonio.morphism_from_json(obj["morphism"])
-    samples = [tuple(jsonio.point_from_json(x) for x in sample) for sample in obj["samples"]]
+    family = family_from_json(_field(obj, "$", "family", dict), "$.family")
+    phi = jsonio.morphism_from_json(_field(obj, "$", "morphism", dict), "$.morphism")
+    samples = [
+        tuple(
+            jsonio.point_from_json(x, f"$.samples[{i}][{j}]")
+            for j, x in enumerate(_expect(sample, list, f"$.samples[{i}]"))
+        )
+        for i, sample in enumerate(_field(obj, "$", "samples", list))
+    ]
     report = check_naturality(family, phi, samples)
     _emit(jsonio.naturality_report_to_json(report))
     return 0
@@ -194,16 +213,16 @@ def _cmd_check_nat(args) -> int:
 
 def _cmd_skel_eval(args) -> int:
     obj = _load_json(args.file)
-    skel = jsonio.skeleton_from_json(obj["skeleton"])
-    point = jsonio.point_from_json(obj["point"])
+    skel = jsonio.skeleton_from_json(_field(obj, "$", "skeleton", dict), "$.skeleton")
+    point = jsonio.point_from_json(_field(obj, "$", "point", dict), "$.point")
     _emit(jsonio.point_to_json(skeleton_eval(skel, point)))
     return 0
 
 
 def _cmd_skel_compose(args) -> int:
     obj = _load_json(args.file)
-    g = jsonio.skeleton_from_json(obj["g"])
-    f = jsonio.skeleton_from_json(obj["f"])
+    g = jsonio.skeleton_from_json(_field(obj, "$", "g", dict), "$.g")
+    f = jsonio.skeleton_from_json(_field(obj, "$", "f", dict), "$.f")
     _emit(jsonio.skeleton_to_json(skeleton_compose(g, f)))
     return 0
 
@@ -230,22 +249,11 @@ def _cmd_cs_table(args) -> int:
         _emit(jsonio.multilinear_to_json(table))
         return 0
     symbols = {1: "1", 2: "t"}
+    monomials = {1: "", 2: "t"}
     for i in (1, 2):
         for j in (1, 2):
-            parts = []
-            for c in (1, 2):
-                coeff = table.entry((i, j), c)
-                if not coeff:
-                    continue
-                if c == 1:
-                    parts.append(str(coeff))
-                elif coeff == 1:
-                    parts.append("t")
-                elif coeff == -1:
-                    parts.append("-t")
-                else:
-                    parts.append(f"{coeff}*t")
-            print(f"m({symbols[i]},{symbols[j]}) = {' + '.join(parts) if parts else '0'}")
+            terms = {c: coeff for c in (1, 2) if (coeff := table.entry((i, j), c))}
+            print(f"m({symbols[i]},{symbols[j]}) = {format_terms(terms, monomials.get)}")
     return 0
 
 

@@ -29,6 +29,14 @@ class ReconstructionError(ValueError):
         self.witness = witness
 
 
+class SchemaError(ValueError):
+    """A JSON document does not have the shape its decoder expects.
+
+    The message starts with the JSON path of the offending value, such as
+    ``$.entries[0]``.
+    """
+
+
 class ParseError(ValueError):
     """Expression text could not be parsed; `position` is a 0-based byte offset."""
 

@@ -27,7 +27,20 @@ images) and powers and inverses (a series in the nilpotent part, at most
 
 Results of internal arithmetic go through a trusted constructor that skips
 the coercion and range checks of the public ``GrassmannElement(n, terms)``.
-The hash key of an element is built on first use.
+
+The canonical sparse form is shared: a Grassmann element, a ``PolyCoeff``
+(exponent tuple -> rational) and a ``Superfunction`` (odd bitmask ->
+``PolyCoeff``) each map monomial keys to nonzero exact coefficients.  Their
+base ``_SparseForm`` holds immutability, structural ``==`` with a hash key
+built on first use, ``bool``, the additive group with rationals embedded as
+constants, scaling, square-and-multiply ``**`` that stops at a zero square,
+and the text through ``format_terms``; ``sum_terms`` adds many at once.  A
+subclass supplies its validating constructor, ``_dims`` (the dimensions
+operands must share), ``_new`` (its trusted constructor), ``_embed`` (a
+constant), ``_monomial`` (the text of one key) and ``__mul__``: ``gr_mul``
+here, ``poly_dot`` in ``poly``, ``_gd_mul`` in ``skeleton``.  The two product
+loops stay apart: ``_mul_into`` runs on integer numerators for rational
+coefficients, and ``_gd_mul`` collects pairs for ``poly_dot``.
 """
 
 from __future__ import annotations
@@ -36,7 +49,8 @@ import re
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, NotInvertibleError, ParityError
 
@@ -105,14 +119,180 @@ def indices_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class GrassmannElement:
-    """An element of the Grassmann algebra on ``n`` generators, in canonical form.
+class _SparseForm:
+    """An immutable map from monomial keys to nonzero exact coefficients.
 
-    Immutable; all operations return new elements.  Canonical form stores no
-    zero coefficients and only ``Fraction`` values, so equality is structural.
+    Besides the hooks named in the module docstring, a subclass sets
+    ``_dims_name`` (for error messages) and ``_scalars`` (what scales it).
     """
 
-    __slots__ = ("n", "terms", "_key")
+    __slots__ = ("terms", "_key")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_dims(self, other: "_SparseForm"):
+        if self._dims != other._dims:
+            raise DimensionError(f"mismatched {self._dims_name}: {self._dims} vs {other._dims}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._dims == other._dims and self.terms == other.terms
+
+    def __hash__(self):
+        if self._key is None:
+            object.__setattr__(self, "_key", (self._dims, tuple(sorted(self.terms.items()))))
+        return hash(self._key)
+
+    # -- the additive group and scaling ------------------------------------------
+
+    def _add(self, other: "_SparseForm") -> "_SparseForm":
+        self._check_dims(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            acc = terms.get(key, 0) + coeff
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+        return self._new(terms)
+
+    def _scale(self, r) -> "_SparseForm":
+        """``r * self`` for a rational ``r`` or a coefficient-ring element ``r``."""
+        if not isinstance(r, _SparseForm):
+            r = Fraction(r)
+        if not r:
+            return self._new({})
+        return self._new({key: r * coeff for key, coeff in self.terms.items()})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._embed(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self._add(other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._embed(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self._add(-other)
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._embed(other)._add(-self)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self._scale(other)
+        return NotImplemented
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        return self._power(exponent)
+
+    def _power(self, exponent: int) -> "_SparseForm":
+        """Square and multiply, stopping at a square that vanishes."""
+        result = self._embed(1)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+                if not base:
+                    return self._new({})
+        return result
+
+    def __str__(self):
+        return format_terms(self.terms, self._monomial)
+
+
+def sum_terms(values: Sequence[_SparseForm]) -> _SparseForm:
+    """The sum of one or more values of one class and shape.
+
+    The coefficients that meet at one key are summed at once, and
+    coefficients that are themselves sparse forms are summed the same way,
+    so the work is linear in the number of terms.
+    """
+    first = values[0]
+    groups: dict = {}
+    for v in values:
+        first._check_dims(v)
+        for key, coeff in v.terms.items():
+            groups.setdefault(key, []).append(coeff)
+    terms = {}
+    for key, coeffs in groups.items():
+        if len(coeffs) == 1:
+            terms[key] = coeffs[0]
+            continue
+        total = sum_terms(coeffs) if isinstance(coeffs[0], _SparseForm) else sum(coeffs)
+        if total:
+            terms[key] = total
+    return first._new(terms)
+
+
+def format_terms(terms: Mapping, monomial: Callable[[object], str]) -> str:
+    """Canonical text of ``{key: coeff}``: terms in increasing key order, joined with signs.
+
+    ``monomial(key)`` is the text of a key, empty for the constant monomial.
+    A coefficient with several terms is parenthesised, and a unit
+    coefficient is dropped before a nonempty monomial.
+    """
+    if not terms:
+        return "0"
+    parts = []
+    for key in sorted(terms):
+        coeff = terms[key]
+        text = str(coeff)
+        if isinstance(coeff, _SparseForm) and len(coeff.terms) > 1:
+            text = f"({text})"
+        gens = monomial(key)
+        if gens:
+            if text == "1":
+                text = gens
+            elif text == "-1":
+                text = f"-{gens}"
+            else:
+                text = f"{text}*{gens}"
+        if not parts:
+            parts.append(text)
+        elif text.startswith("-"):
+            parts.append(f" - {text[1:]}")
+        else:
+            parts.append(f" + {text}")
+    return "".join(parts)
+
+
+def _odd_monomial(mask: int) -> str:
+    """``t1*t3`` for the bitmask ``0b101``, empty for ``0``."""
+    return "*".join([f"t{i}" for i in indices_of_mask(mask)])
+
+
+class GrassmannElement(_SparseForm):
+    """An element of the Grassmann algebra on ``n`` generators, in canonical form,
+    with only ``Fraction`` coefficients."""
+
+    __slots__ = ("n",)
+
+    _dims = property(attrgetter("n"))
+    _dims_name = "generator counts"
+    _scalars = (int, Fraction)
+    _monomial = staticmethod(_odd_monomial)
 
     def __init__(self, n: int, terms: Mapping[int, Fraction | int | str]):
         if not isinstance(n, int) or n < 0 or n > MAX_GENERATORS:
@@ -129,8 +309,11 @@ class GrassmannElement:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_key", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
+    def _new(self, terms):
+        return _trusted(self.n, terms)
+
+    def _embed(self, value):
+        return GrassmannElement.scalar(self.n, value)
 
     # -- constructors -------------------------------------------------------
 
@@ -157,83 +340,26 @@ class GrassmannElement:
     def monomial(cls, n: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
         return cls(n, {mask_of_indices(indices): coeff})
 
-    # -- structure ----------------------------------------------------------
+    # -- structure and arithmetic ---------------------------------------------
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
         return self.terms.get(mask_of_indices(indices), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GrassmannElement) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        if self._key is None:
-            object.__setattr__(self, "_key", (self.n, tuple(sorted(self.terms.items()))))
-        return hash(self._key)
-
-    # -- arithmetic sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, GrassmannElement):
-            return gr_add(self, other)
-        if isinstance(other, (int, Fraction)):
-            return gr_add(self, GrassmannElement.scalar(self.n, other))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return gr_scale(-1, self)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.scalar(self.n, other)
-        if isinstance(other, GrassmannElement):
-            return gr_add(self, gr_scale(-1, other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return gr_add(GrassmannElement.scalar(self.n, other), gr_scale(-1, self))
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
             return gr_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return gr_scale(other, self)
-        return NotImplemented
+        return self.__rmul__(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return gr_scale(other, self)
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
+    def _power(self, exponent: int):
         """Binomial series ``sum_j C(k, j) b**(k-j) N**j`` in the nilpotent part ``N``;
         ``N**j`` vanishes for ``j > n``, so at most ``n`` products are taken."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
         b = body(self)
         return _nil_series(
             self, [comb(exponent, j) * b ** (exponent - j) for j in range(min(exponent, self.n) + 1)]
         )
 
-    def __str__(self):
-        return format_element(self)
-
     def __repr__(self):
-        return f"<GrassmannElement n={self.n} {format_element(self)}>"
-
-
-def _check_same_n(a: GrassmannElement, b: GrassmannElement):
-    if a.n != b.n:
-        raise DimensionError(f"mismatched generator counts: {a.n} vs {b.n}")
+        return f"<GrassmannElement n={self.n} {self}>"
 
 
 _set_n = GrassmannElement.n.__set__
@@ -363,27 +489,15 @@ def _nil_series(a: GrassmannElement, weights: list[Fraction]) -> GrassmannElemen
 # -- arithmetic -------------------------------------------------------------------
 
 
-def gr_add(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    _check_same_n(a, b)
-    terms = dict(a.terms)
-    for mask, coeff in b.terms.items():
-        acc = terms.get(mask, 0) + coeff
-        if acc:
-            terms[mask] = acc
-        else:
-            terms.pop(mask, None)
-    return _trusted(a.n, terms)
+gr_add = GrassmannElement._add
 
 
 def gr_scale(r, a: GrassmannElement) -> GrassmannElement:
-    r = Fraction(r)
-    if not r:
-        return GrassmannElement.zero(a.n)
-    return _trusted(a.n, {mask: r * coeff for mask, coeff in a.terms.items()})
+    return a._scale(r)
 
 
 def gr_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    _check_same_n(a, b)
+    a._check_dims(b)
     at, bt = a.terms, b.terms
     if len(at) == 1 or len(bt) == 1:
         # one side has one term: the output monomials are distinct, so each
@@ -564,28 +678,6 @@ def morphism_compose(psi: GrassmannMorphism, phi: GrassmannMorphism) -> Grassman
 # -- canonical text form ------------------------------------------------------
 
 
-def _format_coeff_monomial(coeff: Fraction, mask: int) -> str:
-    if not mask:
-        return str(coeff)
-    gens = "*".join(f"t{i}" for i in indices_of_mask(mask))
-    if coeff == 1:
-        return gens
-    if coeff == -1:
-        return f"-{gens}"
-    return f"{coeff}*{gens}"
-
-
 def format_element(a: GrassmannElement) -> str:
     """Canonical text: terms in increasing bitmask order, unit coefficients omitted."""
-    if not a.terms:
-        return "0"
-    parts = []
-    for mask in sorted(a.terms):
-        text = _format_coeff_monomial(a.terms[mask], mask)
-        if not parts:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append(f" - {text[1:]}")
-        else:
-            parts.append(f" + {text}")
-    return "".join(parts)
+    return str(a)

@@ -2,14 +2,16 @@
 
 Rationals travel as decimal-free strings ``"p"`` or ``"p/q"``; terms and
 entries are emitted in a deterministic order so identical values always
-serialize to identical bytes.
+serialize to identical bytes.  Decoders check the JSON type of every value
+they read and raise ``SchemaError`` naming its JSON path; ``path`` is the
+path of the value a decoder is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, SchemaError
 from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
@@ -23,6 +25,51 @@ from .poly import PolyCoeff, format_poly
 from .skeleton import Skeleton, Superfunction
 from .superlinear import MultilinearMap, SuperSpace
 from .supermatrix import SuperMatrix
+
+
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+_REQUIRED = object()
+
+
+def _expect(value, kind, path: str, step: str | int | None = None):
+    """``value`` if it has the JSON type ``kind`` (a type or a tuple of types).
+
+    The value sits at ``path``, followed by the key or index ``step`` if one
+    is given; the full path is only spelled out in the error.
+    """
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    if step is not None:
+        path = f"{path}[{step}]" if isinstance(step, int) else f"{path}.{step}"
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    expected = " or ".join(_JSON_TYPES[k] for k in kinds)
+    raise SchemaError(f"{path}: expected {expected}, got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+
+
+def _field(obj, path: str, key: str, kind, default=_REQUIRED):
+    """``obj[key]`` checked by ``_expect``, where ``obj`` is the object at ``path``."""
+    _expect(obj, dict, path)
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"{path}: missing field {key!r}")
+        return default
+    return _expect(obj[key], kind, path, key)
+
+
+def _int_list(values: list, path: str) -> list[int]:
+    """The array at ``path``, checked to hold integers only."""
+    for i, value in enumerate(values):
+        if type(value) is not int:
+            _expect(value, int, path, i)
+    return values
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -50,17 +97,18 @@ def element_to_json(e: GrassmannElement) -> dict:
     }
 
 
-def element_from_json(obj) -> GrassmannElement:
-    n = int(obj["n"])
+def element_from_json(obj, path: str = "$") -> GrassmannElement:
+    n = _field(obj, path, "n", int)
     terms = {}
-    for item in obj.get("terms", []):
-        idx = item["idx"]
-        if list(idx) != sorted(set(idx)):
+    for i, item in enumerate(_field(obj, path, "terms", list, [])):
+        at = f"{path}.terms[{i}]"
+        idx = _int_list(_field(item, at, "idx", list), f"{at}.idx")
+        if idx != sorted(set(idx)):
             raise ValueError(f"monomial indices must be strictly increasing, got {idx}")
         mask = mask_of_indices(idx)
         if mask in terms:
             raise ValueError(f"duplicate monomial {idx}")
-        terms[mask] = fraction_from_json(item["coeff"])
+        terms[mask] = fraction_from_json(_field(item, at, "coeff", (str, int)))
     return GrassmannElement(n, terms)
 
 
@@ -72,9 +120,12 @@ def morphism_to_json(phi: GrassmannMorphism) -> dict:
     }
 
 
-def morphism_from_json(obj) -> GrassmannMorphism:
+def morphism_from_json(obj, path: str = "$") -> GrassmannMorphism:
+    images = _field(obj, path, "images", list)
     return GrassmannMorphism(
-        int(obj["src"]), int(obj["dst"]), [element_from_json(img) for img in obj["images"]]
+        _field(obj, path, "src", int),
+        _field(obj, path, "dst", int),
+        [element_from_json(img, f"{path}.images[{i}]") for i, img in enumerate(images)],
     )
 
 
@@ -85,8 +136,8 @@ def space_to_json(space: SuperSpace) -> dict:
     return {"p": space.p, "q": space.q}
 
 
-def space_from_json(obj) -> SuperSpace:
-    return SuperSpace(int(obj["p"]), int(obj["q"]))
+def space_from_json(obj, path: str = "$") -> SuperSpace:
+    return SuperSpace(_field(obj, path, "p", int), _field(obj, path, "q", int))
 
 
 def multilinear_to_json(f: MultilinearMap) -> dict:
@@ -100,16 +151,19 @@ def multilinear_to_json(f: MultilinearMap) -> dict:
     }
 
 
-def multilinear_from_json(obj) -> MultilinearMap:
+def multilinear_from_json(obj, path: str = "$") -> MultilinearMap:
     coeffs = {}
-    for item in obj.get("entries", []):
-        key = (tuple(int(i) for i in item["in"]), int(item["out"]))
+    for i, item in enumerate(_field(obj, path, "entries", list, [])):
+        at = f"{path}.entries[{i}]"
+        ins = _int_list(_field(item, at, "in", list), f"{at}.in")
+        key = (tuple(ins), _field(item, at, "out", int))
         if key in coeffs:
             raise ValueError(f"duplicate entry {item['in']} -> {item['out']}")
-        coeffs[key] = fraction_from_json(item["coeff"])
+        coeffs[key] = fraction_from_json(_field(item, at, "coeff", (str, int)))
+    domains = _field(obj, path, "domains", list)
     return MultilinearMap(
-        [space_from_json(d) for d in obj["domains"]],
-        space_from_json(obj["codomain"]),
+        [space_from_json(d, f"{path}.domains[{i}]") for i, d in enumerate(domains)],
+        space_from_json(_field(obj, path, "codomain", dict), f"{path}.codomain"),
         coeffs,
     )
 
@@ -125,11 +179,12 @@ def point_to_json(x: LambdaPoint) -> dict:
     }
 
 
-def point_from_json(obj) -> LambdaPoint:
+def point_from_json(obj, path: str = "$") -> LambdaPoint:
+    coords = _field(obj, path, "coords", list)
     return LambdaPoint(
-        space_from_json(obj["space"]),
-        int(obj["n"]),
-        [element_from_json(c) for c in obj["coords"]],
+        space_from_json(_field(obj, path, "space", dict), f"{path}.space"),
+        _field(obj, path, "n", int),
+        [element_from_json(c, f"{path}.coords[{i}]") for i, c in enumerate(coords)],
     )
 
 
@@ -164,11 +219,18 @@ def matrix_to_json(a: SuperMatrix) -> dict:
     }
 
 
-def matrix_from_json(obj) -> SuperMatrix:
+def matrix_from_json(obj, path: str = "$") -> SuperMatrix:
+    rows = _field(obj, path, "entries", list)
     return SuperMatrix(
-        space_from_json(obj["space"]),
-        int(obj["n"]),
-        [[element_from_json(e) for e in row] for row in obj["entries"]],
+        space_from_json(_field(obj, path, "space", dict), f"{path}.space"),
+        _field(obj, path, "n", int),
+        [
+            [
+                element_from_json(e, f"{path}.entries[{i}][{j}]")
+                for j, e in enumerate(_expect(row, list, f"{path}.entries[{i}]"))
+            ]
+            for i, row in enumerate(rows)
+        ],
     )
 
 
@@ -205,23 +267,31 @@ def skeleton_to_json(skel: Skeleton) -> dict:
     }
 
 
-def skeleton_from_json(obj) -> Skeleton:
-    domain = space_from_json(obj["domain"])
-    codomain = space_from_json(obj["codomain"])
-    box = obj.get("dom_box")
+def skeleton_from_json(obj, path: str = "$") -> Skeleton:
+    domain = space_from_json(_field(obj, path, "domain", dict), f"{path}.domain")
+    codomain = space_from_json(_field(obj, path, "codomain", dict), f"{path}.codomain")
+    box = _field(obj, path, "dom_box", (list, type(None)), None)
     dom_box = None
     if box is not None:
-        dom_box = tuple((fraction_from_json(lo), fraction_from_json(hi)) for lo, hi in box)
+        dom_box = []
+        for i, bounds in enumerate(box):
+            at = f"{path}.dom_box[{i}]"
+            if len(_expect(bounds, list, at)) != 2:
+                raise SchemaError(f"{at}: expected an interval [lo, hi]")
+            dom_box.append(tuple(fraction_from_json(_expect(b, (str, int), at)) for b in bounds))
     forms: list[dict] = [dict() for _ in range(domain.q + 1)]
-    for table in obj.get("maps", []):
-        k = int(table["k"])
+    for t, table in enumerate(_field(obj, path, "maps", list, [])):
+        at = f"{path}.maps[{t}]"
+        k = _field(table, at, "k", int)
         if not 0 <= k <= domain.q:
             raise DimensionError(f"form degree {k} outside 0..{domain.q}")
-        for item in table.get("entries", []):
-            key = (tuple(int(i) for i in item["odd_idx"]), int(item["out"]))
+        for e, item in enumerate(_field(table, at, "entries", list, [])):
+            entry = f"{at}.entries[{e}]"
+            odd_idx = _int_list(_field(item, entry, "odd_idx", list), f"{entry}.odd_idx")
+            key = (tuple(odd_idx), _field(item, entry, "out", int))
             if key in forms[k]:
                 raise ValueError(f"duplicate skeleton entry {item['odd_idx']} -> {item['out']}")
-            forms[k][key] = poly_from_json(item["poly"], domain.p)
+            forms[k][key] = poly_from_json(_field(item, entry, "poly", str), domain.p)
     return Skeleton(domain, codomain, forms, dom_box)
 
 
@@ -236,12 +306,14 @@ def superfunction_to_json(f: Superfunction) -> dict:
     }
 
 
-def superfunction_from_json(obj) -> Superfunction:
-    p, q = int(obj["p"]), int(obj["q"])
+def superfunction_from_json(obj, path: str = "$") -> Superfunction:
+    p, q = _field(obj, path, "p", int), _field(obj, path, "q", int)
     terms = {}
-    for item in obj.get("terms", []):
-        mask = mask_of_indices(item["odd_idx"])
+    for i, item in enumerate(_field(obj, path, "terms", list, [])):
+        at = f"{path}.terms[{i}]"
+        odd_idx = _int_list(_field(item, at, "odd_idx", list), f"{at}.odd_idx")
+        mask = mask_of_indices(odd_idx)
         if mask in terms:
             raise ValueError(f"duplicate superfunction term {item['odd_idx']}")
-        terms[mask] = poly_from_json(item["poly"], p)
+        terms[mask] = poly_from_json(_field(item, at, "poly", str), p)
     return Superfunction(p, q, terms)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, sum_terms
 from .poly import PolyCoeff
 from .skeleton import Superfunction
 
@@ -118,7 +118,7 @@ class _Parser:
             elif len(values) == 1:
                 return values[0]
             else:
-                return self.algebra.sum(values)
+                return sum_terms(values)
 
     def term(self):
         value = self.factor()
@@ -174,16 +174,6 @@ class _Parser:
         return value
 
 
-def _merge(term_maps) -> dict:
-    """Key-by-key sum of coefficient maps, in one pass over all their terms."""
-    total: dict = {}
-    get = total.get
-    for terms in term_maps:
-        for key, coeff in terms.items():
-            total[key] = get(key, 0) + coeff
-    return total
-
-
 class _GrassmannAlgebra:
     def __init__(self, n: int):
         self.n = n
@@ -198,9 +188,6 @@ class _GrassmannAlgebra:
 
     def variable(self, k: int, pos: int):
         raise ParseError("even variables are not allowed in a Grassmann expression", pos)
-
-    def sum(self, values: list[GrassmannElement]) -> GrassmannElement:
-        return GrassmannElement(self.n, _merge(v.terms for v in values))
 
 
 class _SuperfunctionAlgebra:
@@ -221,15 +208,6 @@ class _SuperfunctionAlgebra:
             raise ParseError(f"variable x{k} outside 1..{self.p}", pos)
         return Superfunction.coordinate(self.p, self.q, k)
 
-    def sum(self, values: list[Superfunction]) -> Superfunction:
-        by_mask: dict[int, list] = {}
-        for v in values:
-            for mask, poly in v.terms.items():
-                by_mask.setdefault(mask, []).append(poly.terms)
-        return Superfunction(
-            self.p, self.q, {mask: PolyCoeff(self.p, _merge(polys)) for mask, polys in by_mask.items()}
-        )
-
 
 class _PolyAlgebra:
     def __init__(self, nvars: int):
@@ -245,9 +223,6 @@ class _PolyAlgebra:
         if not 1 <= k <= self.nvars:
             raise ParseError(f"variable x{k} outside 1..{self.nvars}", pos)
         return PolyCoeff.variable(self.nvars, k)
-
-    def sum(self, values: list[PolyCoeff]) -> PolyCoeff:
-        return PolyCoeff(self.nvars, _merge(v.terms for v in values))
 
 
 def parse_element(text: str, n: int) -> GrassmannElement:

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Used as the coefficient maps of skeletons: variables ``x1..xp`` range over the
-even directions of a domain.  Exponent tuples are the monomial keys, and
-exact partial derivatives of any order are available.
+even directions of a domain.  Exponent tuples are the monomial keys of the
+canonical sparse form that ``grassmann._SparseForm`` shares, and exact
+partial derivatives of any order are available.
 
 The product kernel works on integers and computes sums of products
 ``sum(a_i * b_i)`` in one pass (``poly_dot``; a single product is the case
@@ -29,18 +30,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, lshift
+from operator import add, attrgetter, lshift
 from typing import Mapping, Sequence
 
-from .grassmann import as_fraction
+from .grassmann import _SparseForm, as_fraction
 
 #: Field width, in bits, of a packed exponent in products whose exponents
 #: stay below ``2**FIELD_BITS``; wider exponents get wider fields.
 FIELD_BITS = 16
 
 
-class PolyCoeff:
-    __slots__ = ("nvars", "terms", "_key", "_ints")
+class PolyCoeff(_SparseForm):
+    __slots__ = ("nvars", "_ints")
+
+    _dims = property(attrgetter("nvars"))
+    _dims_name = "variable counts"
+    _scalars = (int, Fraction)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction | int | str]):
         if nvars < 0:
@@ -59,8 +64,15 @@ class PolyCoeff:
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_ints", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyCoeff is immutable")
+    def _new(self, terms):
+        return _trusted(self.nvars, terms)
+
+    def _embed(self, value):
+        return PolyCoeff.const(self.nvars, value)
+
+    @staticmethod
+    def _monomial(exps: tuple[int, ...]) -> str:
+        return "*".join([f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, start=1) if e])
 
     @classmethod
     def zero(cls, nvars: int) -> "PolyCoeff":
@@ -78,90 +90,14 @@ class PolyCoeff:
         exps = tuple(int(j == i) for j in range(1, nvars + 1))
         return cls(nvars, {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyCoeff) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        if self._key is None:
-            object.__setattr__(self, "_key", (self.nvars, tuple(sorted(self.terms.items()))))
-        return hash(self._key)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyCoeff.const(self.nvars, other)
-        if not isinstance(other, PolyCoeff):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError("mismatched variable counts")
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, 0) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return _trusted(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _trusted(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyCoeff.const(self.nvars, other)
-        if not isinstance(other, PolyCoeff):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if not r:
-                return _trusted(self.nvars, {})
-            return _trusted(self.nvars, {e: r * c for e, c in self.terms.items()})
-        if not isinstance(other, PolyCoeff):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError("mismatched variable counts")
-        return poly_dot(self.nvars, [(self, other)])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = PolyCoeff.const(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if isinstance(other, PolyCoeff):
+            self._check_dims(other)
+            return poly_dot(self.nvars, [(self, other)])
+        return self.__rmul__(other)
 
     def diff(self, var: int) -> "PolyCoeff":
         """Exact partial derivative with respect to ``x_var`` (1-based)."""
@@ -199,11 +135,8 @@ class PolyCoeff:
             return one * Fraction(0)
         return total
 
-    def __str__(self):
-        return format_poly(self)
-
     def __repr__(self):
-        return f"<PolyCoeff {format_poly(self)}>"
+        return f"<PolyCoeff {self}>"
 
 
 _set_nvars = PolyCoeff.nvars.__set__
@@ -315,31 +248,4 @@ def monomial_value(tables: list[dict[int, object]], exps: tuple[int, ...], one):
 
 def format_poly(p: PolyCoeff) -> str:
     """Canonical text: terms sorted by exponent tuple, variables ascending."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for exps in sorted(p.terms):
-        coeff = p.terms[exps]
-        factors = []
-        for i, e in enumerate(exps, start=1):
-            if e == 1:
-                factors.append(f"x{i}")
-            elif e > 1:
-                factors.append(f"x{i}^{e}")
-        if not factors:
-            text = str(coeff)
-        else:
-            gens = "*".join(factors)
-            if coeff == 1:
-                text = gens
-            elif coeff == -1:
-                text = f"-{gens}"
-            else:
-                text = f"{coeff}*{gens}"
-        if not parts:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append(f" - {text[1:]}")
-        else:
-            parts.append(f" + {text}")
-    return "".join(parts)
+    return str(p)

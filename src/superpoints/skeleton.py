@@ -23,12 +23,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
-from operator import sub
+from operator import attrgetter, sub
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, ParityError
 from .grassmann import (
     GrassmannElement,
+    _SparseForm,
+    _odd_monomial,
     _sign_mask,
     even_part,
     gr_add,
@@ -349,7 +351,7 @@ def skeleton_compose(g: Skeleton, f: Skeleton) -> Skeleton:
 # -- superfunctions ---------------------------------------------------------------
 
 
-class Superfunction:
+class Superfunction(_SparseForm):
     """A finite expansion in powers of the odd generators with polynomial coefficients.
 
     ``terms`` maps an odd-direction bitmask to its coefficient polynomial in
@@ -357,7 +359,12 @@ class Superfunction:
     ``p|q``, with the same multiplication sign rule as the Grassmann algebra.
     """
 
-    __slots__ = ("p", "q", "terms", "_key")
+    __slots__ = ("p", "q")
+
+    _dims = property(attrgetter("p", "q"))
+    _dims_name = "superdomain formats"
+    _scalars = (int, Fraction, PolyCoeff)
+    _monomial = staticmethod(_odd_monomial)
 
     def __init__(self, p: int, q: int, terms: Mapping[int, PolyCoeff]):
         if p < 0 or q < 0:
@@ -374,10 +381,18 @@ class Superfunction:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_key", (p, q, tuple(sorted(clean.items()))))
+        object.__setattr__(self, "_key", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Superfunction is immutable")
+    def _new(self, terms):
+        f = object.__new__(Superfunction)
+        object.__setattr__(f, "p", self.p)
+        object.__setattr__(f, "q", self.q)
+        object.__setattr__(f, "terms", terms)
+        object.__setattr__(f, "_key", None)
+        return f
+
+    def _embed(self, value):
+        return Superfunction.const(self.p, self.q, value)
 
     @classmethod
     def zero(cls, p: int, q: int) -> "Superfunction":
@@ -399,76 +414,10 @@ class Superfunction:
             raise DimensionError(f"odd index {i} outside 1..{q}")
         return cls(p, q, {1 << (i - 1): PolyCoeff.const(p, 1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Superfunction) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Superfunction.const(self.p, self.q, other)
-        if not isinstance(other, Superfunction):
-            return NotImplemented
-        if (self.p, self.q) != (other.p, other.q):
-            raise DimensionError("mismatched superdomain formats")
-        terms = dict(self.terms)
-        for mask, poly in other.terms.items():
-            total = terms.get(mask, PolyCoeff.zero(self.p)) + poly
-            if total.is_zero():
-                terms.pop(mask, None)
-            else:
-                terms[mask] = total
-        return Superfunction(self.p, self.q, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Superfunction(self.p, self.q, {m: -poly for m, poly in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Superfunction.const(self.p, self.q, other)
-        if not isinstance(other, Superfunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PolyCoeff)):
-            return Superfunction(self.p, self.q, {m: poly * other for m, poly in self.terms.items()})
-        if not isinstance(other, Superfunction):
-            return NotImplemented
-        return superfunction_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, PolyCoeff)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Superfunction.const(self.p, self.q, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-                if base.is_zero():
-                    return Superfunction.zero(self.p, self.q)
-        return result
-
-    def __str__(self):
-        return format_superfunction(self)
+        if isinstance(other, Superfunction):
+            return superfunction_mul(self, other)
+        return self.__rmul__(other)
 
     def __repr__(self):
         return f"<Superfunction p={self.p} q={self.q}: {self}>"
@@ -476,9 +425,8 @@ class Superfunction:
 
 def superfunction_mul(f: Superfunction, g: Superfunction) -> Superfunction:
     """Supercommutative product: odd monomials merge with the Grassmann sign rule."""
-    if (f.p, f.q) != (g.p, g.q):
-        raise DimensionError("mismatched superdomain formats")
-    return Superfunction(f.p, f.q, _gd_mul(f.terms, g.terms))
+    f._check_dims(g)
+    return f._new(_gd_mul(f.terms, g.terms))
 
 
 def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
@@ -540,31 +488,9 @@ def skeleton_to_superfunction(skel: Skeleton) -> Superfunction:
 
 
 def format_superfunction(f: Superfunction) -> str:
-    if not f.terms:
-        return "0"
-    parts = []
-    for mask in sorted(f.terms):
-        poly = f.terms[mask]
-        gens = "*".join(f"t{i}" for i in indices_of_mask(mask))
-        if not gens:
-            text = str(poly)
-            if len(poly.terms) > 1:
-                text = f"({text})"
-        elif poly == PolyCoeff.const(f.p, 1):
-            text = gens
-        elif poly == PolyCoeff.const(f.p, -1):
-            text = f"-{gens}"
-        elif len(poly.terms) == 1:
-            text = f"{poly}*{gens}"
-        else:
-            text = f"({poly})*{gens}"
-        if not parts:
-            parts.append(text)
-        elif text.startswith("-"):
-            parts.append(f" - {text[1:]}")
-        else:
-            parts.append(f" + {text}")
-    return "".join(parts)
+    """Canonical text: terms in increasing odd bitmask order, each coefficient
+    parenthesised when it has several terms."""
+    return str(f)
 
 
 # -- the derived multiplication on the representing space of the function algebra --

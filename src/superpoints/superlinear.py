@@ -60,11 +60,6 @@ def dual_space(space: SuperSpace) -> SuperSpace:
     return SuperSpace(space.p, space.q)
 
 
-def dual_pairing_matrix(space: SuperSpace) -> list[list[Fraction]]:
-    d = space.dim
-    return [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-
-
 def braid_swap(
     v: SuperSpace, w: SuperSpace, tensor: Mapping[tuple[int, int], Fraction]
 ) -> dict[tuple[int, int], Fraction]:

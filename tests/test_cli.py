@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from superpoints import SuperMatrix, SuperSpace, jsonio
 from superpoints.cli import main
 from superpoints.sampling import random_invertible_matrix, random_point
@@ -118,6 +120,40 @@ class TestMatrixCommands:
         code, _, err = run_cli(capsys, "strace", str(path))
         assert code == 2
         assert "invalid JSON" in err
+
+
+class TestSchemaErrors:
+    """A document of the wrong shape exits 1 with the JSON path of the bad value."""
+
+    ENTRY = {"n": 1, "terms": [{"idx": [], "coeff": "1"}]}
+    CASES = [
+        ("strace", [1, 2], "$: expected an object, got an array"),
+        ("minv", [1, 2], "$: expected an object, got an array"),
+        ("minv", {"space": {"p": 1, "q": 0}, "n": 1, "entries": "abc"}, "$.entries: expected an array, got a string"),
+        ("strace", {"space": {"p": 1, "q": 0}, "n": 1, "entries": [["x"]]},
+         "$.entries[0][0]: expected an object, got a string"),
+        ("strace", {"space": {"p": 1, "q": 0}, "n": 1, "entries": [[{"n": 1, "terms": [{"idx": "1", "coeff": "1"}]}]]},
+         "$.entries[0][0].terms[0].idx: expected an array, got a string"),
+        ("minv", {"space": {"p": 1, "q": 0}, "entries": [[ENTRY]]}, "$: missing field 'n'"),
+        ("skel-compose", {"g": 5, "f": []}, "$.g: expected an object, got an integer"),
+        ("skel-eval", {"skeleton": {"domain": {"p": 1, "q": None}}, "point": {}},
+         "$.skeleton.domain.q: expected an integer, got null"),
+        ("check-nat", {"family": {"domains": [], "codomain": {"p": 1, "q": 0}, "outputs": [{"out": 1, "terms": [{"coeff": 1, "vars": [[1]]}]}]},
+                       "morphism": {}, "samples": []},
+         "$.family.outputs[0].terms[0].vars[0]: expected a pair"),
+        ("lift", {"map": {"domains": [], "codomain": {"p": 1, "q": 0}}, "args": {}},
+         "$.args: expected an array, got an object"),
+    ]
+
+    @pytest.mark.parametrize("command, doc, message", CASES, ids=[m for _, _, m in CASES])
+    def test_exit_1_with_path(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(message)
+        for internal in ("indices must be integers", "not subscriptable", "object has no attribute", "Traceback"):
+            assert internal not in err
 
 
 class TestLiftReconstructCheckNat:

@@ -21,7 +21,6 @@ from superpoints import (
     pi_reverse,
     symmetrize_check,
 )
-from superpoints.superlinear import dual_pairing_matrix
 
 spaces = st.builds(SuperSpace, st.integers(0, 4), st.integers(0, 4))
 
@@ -178,7 +177,3 @@ class TestDualSpace:
     def test_format_preserved(self):
         assert dual_space(SuperSpace(2, 3)) == SuperSpace(2, 3)
         assert dual_space(SuperSpace(0, 0)) == SuperSpace(0, 0)
-
-    def test_pairing_is_identity(self):
-        matrix = dual_pairing_matrix(SuperSpace(2, 2))
-        assert matrix == [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
