@@ -67,10 +67,12 @@ print("composite body:", composite.forms[0][((), 1)])
 print("composite 2-form:", composite.forms[2][((1, 2), 1)])
 print()
 
-# Supersmoothness checking: a family of maps is the evaluation of a skeleton
-# iff it is polynomial, its derivative is linear over even scalars, and it is
-# natural under base change.  Scaling an odd coordinate by body(t) breaks the
-# second condition.
+# Supersmoothness checking: a natural family is fixed by its value at one
+# universal point per body, a point over fresh generators that maps onto every
+# point with that body.  The checker compares the family there with the
+# skeleton interpolated from probes, and checks naturality under base change.
+# Scaling an odd coordinate by body(t) is natural, but at the universal point
+# it drops the nilpotent part of t that the skeleton's x*xi keeps.
 good = PointFamily((dom,), SuperSpace(1, 1),
                    lambda n, args: skeleton_eval(skel, args[0]))
 print("lifted skeleton family:", check_supersmooth(good, max_degree=3, n_max=3).supersmooth)

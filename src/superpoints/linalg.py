@@ -93,14 +93,6 @@ def kernel_basis(rows: Matrix, cols: int) -> list[list[Fraction]]:
     return basis
 
 
-def in_row_space(rows: Matrix, vec: list[Fraction]) -> bool:
-    if all(not x for x in vec):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [vec])
-
-
 def same_row_space(a: Matrix, b: Matrix) -> bool:
     ra = rank(a) if a else 0
     rb = rank(b) if b else 0

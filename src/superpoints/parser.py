@@ -5,7 +5,7 @@ Grammar (whitespace insignificant)::
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := base ('^' nat)?
-    base   := rational | 't' nat | 'x' nat | '(' expr ')' | '-' base
+    base   := rational | 't' nat | 'x' nat | '(' expr ')' | '-' factor
 
 Rationals are ``p`` or ``p/q`` with integer parts; ``t<k>`` are the odd
 generators, ``x<k>`` the even variables.  Errors carry precise byte offsets.
@@ -157,21 +157,9 @@ class _Parser:
         if token.kind == "OP" and token.value == "-":
             if self.peek().kind == "END":
                 raise ParseError("dangling '-'", token.pos)
-            return -self.base_with_power()
+            # unary minus binds tighter than '*' but respects '^' on its operand
+            return -self.factor()
         raise ParseError("expected a value", token.pos)
-
-    def base_with_power(self):
-        # unary minus binds tighter than '*' but respects '^' on its operand
-        value = self.base()
-        token = self.peek()
-        if token.kind == "OP" and token.value == "^":
-            self.next()
-            exp = self.peek()
-            if exp.kind != "NUMBER" or exp.value.denominator != 1:
-                raise ParseError("exponent must be a non-negative integer", exp.pos)
-            self.next()
-            value = value ** int(exp.value)
-        return value
 
 
 class _GrassmannAlgebra:

@@ -492,12 +492,11 @@ def superrep_check(candidate: CandidateModule) -> SuperrepVerdict:
 
     # Ground value basis sits in the even ambient directions; kernel vectors
     # are multiples of the single generator tensored with odd directions.
-    p_star = linalg.rank(rows0) if rows0 else 0
-    q_star = linalg.rank(kernel_vectors) if kernel_vectors else 0
+    # The pivot columns of the transpose pick the first independent rows.
+    even_vecs = [rows0[c] for c in linalg.rref(_transpose(rows0))[1]]
+    odd_vecs = [kernel_vectors[c] for c in linalg.rref(_transpose(kernel_vectors))[1]]
+    p_star, q_star = len(even_vecs), len(odd_vecs)
     fmt = SuperSpace(p_star, q_star)
-
-    even_vecs = _independent_rows(rows0, p_star)
-    odd_vecs = _independent_rows(kernel_vectors, q_star)
 
     # Embedding of the rebuilt format into the ambient space, as an even
     # linear map: even basis vectors to the ground-value basis, odd ones to
@@ -544,13 +543,3 @@ def _transpose(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if not rows:
         return []
     return [list(col) for col in zip(*rows)]
-
-
-def _independent_rows(rows: list[list[Fraction]], target_rank: int) -> list[list[Fraction]]:
-    picked: list[list[Fraction]] = []
-    for row in rows:
-        if len(picked) == target_rank:
-            break
-        if not linalg.in_row_space(picked, row):
-            picked.append(row)
-    return picked

@@ -42,6 +42,9 @@ class TestGrammar:
     def test_power_binds_tighter_than_product(self):
         assert parse_poly("2*x1^2", 1) == PolyCoeff(1, {(2,): 2})
 
+    def test_power_binds_tighter_than_unary_minus(self):
+        assert parse_poly("-x1^2", 1) == parse_poly("-(x1^2)", 1) == PolyCoeff(1, {(2,): -1})
+
     def test_whitespace_insignificant(self):
         assert parse_element(" t1 * t2+1 ", 2) == parse_element("t1*t2+1", 2)
 
@@ -77,6 +80,12 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_element("t1^-1", 2)
         assert "exponent" in str(exc.value)
+
+    def test_negative_exponent_after_unary_minus(self):
+        with pytest.raises(ParseError) as exc:
+            parse_element("-t1^-1", 2)
+        assert "exponent" in str(exc.value)
+        assert exc.value.position == 4
 
     def test_fractional_exponent(self):
         with pytest.raises(ParseError):

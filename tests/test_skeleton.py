@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpoints import (
     DimensionError,
     DomainError,
     GrassmannElement,
+    GrassmannMorphism,
     LambdaPoint,
     PointFamily,
     Skeleton,
@@ -28,10 +31,11 @@ from superpoints import (
     superfunction_mul,
     superfunction_to_skeleton,
 )
-from superpoints.grassmann import body, gr_mul, gr_scale
+from superpoints.grassmann import body, gr_mul, gr_scale, nil_part
 from superpoints.parser import parse_superfunction
 from superpoints.poly import PolyCoeff
 from superpoints.sampling import random_point, standard_morphisms
+from superpoints.skeleton import _universal_point
 
 from helpers import random_polynomial_supermap
 
@@ -400,7 +404,7 @@ class TestCheckSupersmooth:
         family = PointFamily((dom,), dom, component)
         verdict = check_supersmooth(family, max_degree=3, n_max=3)
         assert not verdict.supersmooth
-        assert any("even scalar" in d for d in verdict.diagnostics)
+        assert any("universal point" in d for d in verdict.diagnostics)
 
     def test_constant_family_passes(self):
         dom = SuperSpace(1, 2)
@@ -415,3 +419,107 @@ class TestCheckSupersmooth:
         assert verdict.supersmooth
         assert verdict.skeleton.forms[0] == {((), 1): PolyCoeff.const(1, 5)}
         assert all(not table for table in verdict.skeleton.forms[1:])
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def lambda_points(draw):
+    p, q, m = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    space = SuperSpace(p, q)
+    coords = []
+    for i in space.indices():
+        masks = [mask for mask in range(1 << m) if mask.bit_count() % 2 == space.parity(i)]
+        terms = draw(st.dictionaries(st.sampled_from(masks), rationals, max_size=4)) if masks else {}
+        coords.append(GrassmannElement(m, terms))
+    return LambdaPoint(space, m, coords)
+
+
+def covering_morphism(x: LambdaPoint) -> GrassmannMorphism:
+    """The morphism sending the universal point with the body of ``x`` to ``x``:
+    ``s_{a,j} -> t_{j+1}``, ``s'_{a,j}`` -> the odd cofactor of ``t_{j+1}`` among
+    the monomials of coordinate ``a`` whose lowest generator is ``t_{j+1}``,
+    and the odd generators to the odd coordinates."""
+    p, q, m = x.space.p, x.space.q, x.n
+    pairs = max(m - 1, 0)
+    images = []
+    for a in range(p):
+        for j in range(pairs):
+            cofactor = {
+                mask ^ (1 << j): c
+                for mask, c in x.coords[a].terms.items()
+                if mask & -mask == 1 << j
+            }
+            images += [theta(m, j + 1), GrassmannElement(m, cofactor)]
+    images += x.coords[p:]
+    return GrassmannMorphism(2 * p * pairs + q, m, images)
+
+
+def body_power_scaling(k):
+    dom = SuperSpace(1, 1)
+
+    def component(n, args):
+        t_coord, xi = args[0].coords
+        return LambdaPoint(dom, n, (t_coord, gr_scale(body(t_coord) ** k, xi)))
+
+    return PointFamily((dom,), dom, component)
+
+
+def sign_branch(n, args):
+    t_coord, xi = args[0].coords
+    return LambdaPoint(args[0].space, n, (t_coord if body(t_coord) >= 0 else -t_coord, xi))
+
+
+def injected_t1t2(n, args):
+    t_coord, xi = args[0].coords
+    if n >= 2:
+        t_coord = t_coord + theta(n, 1, 2)
+    return LambdaPoint(args[0].space, n, (t_coord, xi))
+
+
+def square_without_eta_squared(n, args):
+    (t_coord,) = args[0].coords
+    b = body(t_coord)
+    return LambdaPoint(args[0].space, n, (GrassmannElement.scalar(n, b * b) + gr_scale(2 * b, nil_part(t_coord)),))
+
+
+NOT_SUPERSMOOTH = {
+    "body^2 scaling": body_power_scaling(2),
+    "body^3 scaling": body_power_scaling(3),
+    "sign-of-body branch": PointFamily((SuperSpace(1, 1),), SuperSpace(1, 1), sign_branch),
+    "t1*t2 injected": PointFamily((SuperSpace(1, 1),), SuperSpace(1, 1), injected_t1t2),
+    "square without eta^2": PointFamily((SuperSpace(1, 0),), SuperSpace(1, 0), square_without_eta_squared),
+}
+
+
+class TestUniversalPointCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(lambda_points())
+    def test_universal_point_covers_every_point(self, x):
+        u = [c.terms.get(0, Fraction(0)) for c in x.coords[: x.space.p]]
+        universal = _universal_point(x.space, u, max(x.n - 1, 0))
+        assert base_change(covering_morphism(x), universal) == x
+
+    def test_body_scaling_rejected_at_every_seed(self):
+        family = body_power_scaling(1)
+        passed = [s for s in range(1, 51) if check_supersmooth(family, max_degree=3, n_max=3, seed=s).supersmooth]
+        assert passed == []
+
+    @pytest.mark.parametrize("name", NOT_SUPERSMOOTH)
+    def test_non_supersmooth_rejected_at_every_seed(self, name):
+        family = NOT_SUPERSMOOTH[name]
+        for s in range(1, 21):
+            verdict = check_supersmooth(family, max_degree=3, n_max=3, seed=s)
+            assert not verdict.supersmooth, s
+            assert verdict.diagnostics
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1)])
+    def test_polynomial_supermaps_recovered(self, p, q):
+        dom, cod = SuperSpace(p, q), SuperSpace(1, 1)
+        for s in range(1, 11):
+            supermap = random_polynomial_supermap(random.Random(s), dom, cod, max_degree=2)
+            family = PointFamily((dom,), cod, lambda n, args: supermap.substitute(args[0]))
+            verdict = check_supersmooth(family, max_degree=3, n_max=3, seed=s)
+            assert verdict.supersmooth, (s, verdict.diagnostics)
+            assert verdict.skeleton == supermap.skeleton()
