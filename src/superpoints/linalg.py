@@ -1,51 +1,53 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions.  Everything here is Gaussian
-elimination at desk scale; no pivoting heuristics are needed because the
-arithmetic is exact.
+A sparse row is a dict ``{column key: coefficient}``; the keys of one call
+must be mutually sortable, and their order is the column order.  Spans are
+reduced by one function, ``row_space``.  It returns the reduced row echelon
+basis of the span, which is unique: every row has coefficient 1 at its pivot (its
+smallest key), and no other row has that key.  So two spans are equal exactly
+when their ``row_space`` dicts are equal, and the rank is the dict's length.
+``det`` and ``inverse`` work on the small dense body matrices of
+supermatrices (lists of lists of Fractions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Hashable, Iterable, Mapping
 
 from .errors import NotInvertibleError
 
 Matrix = list[list[Fraction]]
 
 
-def identity(k: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+def row_space(rows: Iterable[Mapping[Hashable, Fraction]]) -> dict:
+    """The reduced row echelon basis ``{pivot: row}`` of the span of ``rows``, by pivot."""
+    echelon: dict = {}
+    for given in rows:
+        row = {key: value for key, value in given.items() if value}
+        for pivot in [key for key in row if key in echelon]:
+            # a basis row is zero at every other pivot, so this clears one key
+            _subtract(row, row[pivot], echelon[pivot])
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        pivot = min(row)
+        inv = 1 / Fraction(row[pivot])
+        row = {key: value * inv for key, value in row.items()}
+        for other in echelon.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        echelon[pivot] = row
+    return dict(sorted(echelon.items()))
 
 
-def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+def _subtract(target: dict, factor: Fraction, row: Mapping) -> None:
+    """``target -= factor * row`` in place, dropping the keys that cancel."""
+    for key, value in row.items():
+        value = target.get(key, 0) - factor * value
+        if value:
+            target[key] = value
+        else:
+            del target[key]
 
 
 def det(rows: Matrix) -> Fraction:
@@ -69,31 +71,10 @@ def det(rows: Matrix) -> Fraction:
 
 
 def inverse(rows: Matrix) -> Matrix:
+    """Inverse of a square matrix, read off the echelon of ``[A | I]``."""
     k = len(rows)
-    aug = [rows[i][:] + identity(k)[i] for i in range(k)]
-    reduced, pivots = rref(aug)
-    if pivots[:k] != list(range(k)):
+    augmented = [{**dict(enumerate(row)), k + i: Fraction(1)} for i, row in enumerate(rows)]
+    echelon = row_space(augmented)
+    if list(echelon) != list(range(k)):
         raise NotInvertibleError("matrix is singular over the rationals")
-    return [row[k:] for row in reduced[:k]]
-
-
-def kernel_basis(rows: Matrix, cols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : rows @ x == 0} for a matrix with `cols` columns."""
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(cols)] for j in range(cols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(vec)
-    return basis
-
-
-def same_row_space(a: Matrix, b: Matrix) -> bool:
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    return ra == rb == rank(a + b)
+    return [[row.get(k + j, Fraction(0)) for j in range(k)] for row in echelon.values()]

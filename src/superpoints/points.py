@@ -20,6 +20,7 @@ Sign table (normative, see also the round-trip tests):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -395,10 +396,6 @@ def ambient_basis(space: SuperSpace, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def flatten_point(x: LambdaPoint, basis: list[tuple[int, int]]) -> list[Fraction]:
-    return [x.coords[i - 1].terms.get(mask, Fraction(0)) for i, mask in basis]
-
-
 @dataclass(frozen=True)
 class CandidateModule:
     """A candidate module functor presented inside an ambient point functor.
@@ -462,84 +459,48 @@ def superrep_check(candidate: CandidateModule) -> SuperrepVerdict:
     value plus the parity reversal of that map's kernel.  The rebuilt functor
     is compared through the lift of an explicit embedding, so a success is a
     certified natural isomorphism on the tested range.
+
+    Each point is read as the sparse row ``{(mask, coordinate): coefficient}``
+    and every span as its ``linalg.row_space``.  Killing the generator keeps
+    the terms of mask 0, so the image of the terminal map is spanned by the
+    body parts of the rows over one generator.  With the mask first in the
+    key, the body columns sort before the nilpotent ones, so the echelon rows
+    over one generator whose pivot has mask 1 vanish on the body and are a
+    basis of that map's kernel.  They and the echelon rows of the ground value
+    are the columns of the embedding.  A basis point outside the ambient space
+    or over the wrong number of generators raises ``DimensionError``.
     """
-    reasons: list[str] = []
-    amb = candidate.ambient
-    b0 = list(candidate.basis(0))
-    b1 = list(candidate.basis(1))
-    basis0 = ambient_basis(amb, 0)
-    basis1 = ambient_basis(amb, 1)
-    rows0 = [flatten_point(x, basis0) for x in b0]
 
-    eps = GrassmannMorphism.terminal(1)
-    images = [flatten_point(base_change(eps, x), basis0) for x in b1]
-    if not linalg.same_row_space(images, rows0):
-        reasons.append("killing the generator of the 1-generator algebra is not surjective onto the ground value")
-
-    # Kernel of the terminal map on the candidate's points over one generator.
-    rows1 = [flatten_point(x, basis1) for x in b1]
-    eps_matrix = images  # one row per basis point of the candidate at n=1
-    kernel_coords = (
-        linalg.kernel_basis(_transpose(eps_matrix), len(b1)) if b1 else []
-    )
-    kernel_vectors = []
-    for combo in kernel_coords:
-        acc = [Fraction(0)] * len(basis1)
-        for c, row in zip(combo, rows1):
-            if c:
-                acc = [a + c * r for a, r in zip(acc, row)]
-        kernel_vectors.append(acc)
-
-    # Ground value basis sits in the even ambient directions; kernel vectors
-    # are multiples of the single generator tensored with odd directions.
-    # The pivot columns of the transpose pick the first independent rows.
-    even_vecs = [rows0[c] for c in linalg.rref(_transpose(rows0))[1]]
-    odd_vecs = [kernel_vectors[c] for c in linalg.rref(_transpose(kernel_vectors))[1]]
-    p_star, q_star = len(even_vecs), len(odd_vecs)
-    fmt = SuperSpace(p_star, q_star)
-
-    # Embedding of the rebuilt format into the ambient space, as an even
-    # linear map: even basis vectors to the ground-value basis, odd ones to
-    # the directions carried by the kernel.
-    emb_coeffs: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for col, vec in enumerate(even_vecs, start=1):
-        for (i, mask), value in zip(basis0, vec):
-            if value:
-                emb_coeffs[((col,), i)] = value
-    for col, vec in enumerate(odd_vecs, start=1):
-        for (i, mask), value in zip(basis1, vec):
-            if value:
-                if mask != 1 or amb.parity(i) != 1:
-                    reasons.append("kernel of the terminal map leaves the odd nilpotent block")
-                    break
-                emb_coeffs[((p_star + col,), i)] = value
-    try:
-        embedding = MultilinearMap((fmt,), amb, emb_coeffs)
-    except (ParityError, DimensionError) as exc:
-        reasons.append(f"embedding of the rebuilt format is ill-formed: {exc}")
-        return SuperrepVerdict(False, None, tuple(reasons))
-
-    if not reasons:
-        rebuilt = vbar_module(fmt, candidate.n_max)
-        for n in range(candidate.n_max + 1):
-            basis_n = ambient_basis(amb, n)
-            cand_rows = [flatten_point(x, basis_n) for x in candidate.basis(n)]
-            lifted_rows = [
-                flatten_point(lift_multilinear(embedding, (x,)), basis_n)
-                for x in rebuilt.basis(n)
-            ]
-            if not linalg.same_row_space(cand_rows, lifted_rows):
-                reasons.append(
-                    f"points over {n} generators differ from the rebuilt module of format {fmt}"
+    @functools.cache
+    def span(n: int) -> dict:
+        rows = []
+        for index, x in enumerate(candidate.basis(n)):
+            if x.space != candidate.ambient or x.n != n:
+                raise DimensionError(
+                    f"basis point {index} for n={n} lies in {x.space} over {x.n} generators, "
+                    f"expected {candidate.ambient} over {n}"
                 )
-                break
+            rows.append(_point_row(x))
+        return linalg.row_space(rows)
 
-    if reasons:
-        return SuperrepVerdict(False, None, tuple(reasons))
+    ground = list(span(0).values())
+    image = linalg.row_space({key: value for key, value in row.items() if key[0] == 0} for row in span(1).values())
+    if image != span(0):
+        reason = "killing the generator of the 1-generator algebra is not surjective onto the ground value"
+        return SuperrepVerdict(False, None, (reason,))
+    kernel = [row for pivot, row in span(1).items() if pivot[0] == 1]
+    fmt = SuperSpace(len(ground), len(kernel))
+    columns = enumerate(ground + kernel, start=1)
+    emb_coeffs = {((col,), i): value for col, row in columns for (_, i), value in row.items()}
+    embedding = MultilinearMap((fmt,), candidate.ambient, emb_coeffs)
+    rebuilt = vbar_module(fmt, candidate.n_max)
+    for n in range(candidate.n_max + 1):
+        lifted = linalg.row_space(_point_row(lift_multilinear(embedding, (x,))) for x in rebuilt.basis(n))
+        if span(n) != lifted:
+            reason = f"points over {n} generators differ from the rebuilt module of format {fmt}"
+            return SuperrepVerdict(False, None, (reason,))
     return SuperrepVerdict(True, fmt, ())
 
 
-def _transpose(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
+def _point_row(x: LambdaPoint) -> dict[tuple[int, int], Fraction]:
+    return {(mask, i): value for i, coord in enumerate(x.coords, start=1) for mask, value in coord.terms.items()}

@@ -234,7 +234,9 @@ def gl_group_check(n: int, p: int, q: int, trials: int, seed: int = 0) -> GLRepo
     Checks closure, associativity, two-sided inverses, the unit, and
     compatibility of multiplication with pushforward along Grassmann
     morphisms, all exactly.  The report lists violations with enough detail
-    to reproduce them; an empty list is the expected outcome.
+    to reproduce them; an empty list is the expected outcome.  It is a sampled
+    self-test of the group laws on the matrices drawn from ``seed``, not a
+    certificate for all of GL.
     """
     from .sampling import random_invertible_matrix, standard_morphisms
 

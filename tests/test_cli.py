@@ -301,6 +301,47 @@ class TestSuperrepAndCsTable:
         assert table.entry((2, 2), 1) == -1
 
 
+def _element(n, terms):
+    return {"n": n, "terms": [{"idx": idx, "coeff": coeff} for idx, coeff in terms]}
+
+
+def _point(p, q, n, coords):
+    return {"space": {"p": p, "q": q}, "n": n, "coords": [_element(n, terms) for terms in coords]}
+
+
+class TestMalformedCandidate:
+    """Basis points outside the ambient space or over the wrong algebra exit 1."""
+
+    CASES = {
+        "format 1|0 in a 2|1 ambient": {
+            "ambient": {"p": 2, "q": 1},
+            "n_max": 1,
+            "basis": {"0": [_point(1, 0, 0, [[([], "1")]])], "1": []},
+        },
+        "1|1 points in a 1|0 ambient": {
+            "ambient": {"p": 1, "q": 0},
+            "n_max": 1,
+            "basis": {
+                "0": [_point(1, 1, 0, [[([], "1")], []])],
+                "1": [_point(1, 1, 1, [[([], "1")], [([1], "1")]])],
+            },
+        },
+        "basis(0) over 2 generators": {
+            "ambient": {"p": 1, "q": 0},
+            "n_max": 1,
+            "basis": {"0": [_point(1, 0, 2, [[([1, 2], "1")]])], "1": []},
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_1_with_message(self, capsys, tmp_path, case):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(self.CASES[case]))
+        code, out, err = run_cli(capsys, "superrep-check", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("basis point 0 for n=0 lies in ") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys):
         results = set()

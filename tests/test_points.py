@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from superpoints import (
+    CandidateModule,
+    DimensionError,
     GrassmannElement,
     GrassmannMorphism,
     LambdaPoint,
@@ -313,3 +315,55 @@ class TestSuperrepresentability:
         verdict = superrep_check(vnil_module(SuperSpace(0, 1), 4))
         assert verdict.superrepresentable
         assert verdict.format == SuperSpace(0, 1)
+
+
+def embedded_candidate(drop=None, skip_body=False):
+    """The points of 1|2, pushed into 2|3 by an injective even map, with one
+    redundant point per generator count; ``drop=(n, i)`` removes point ``i``
+    over ``n`` generators, ``skip_body`` the even point over one generator."""
+    fmt, ambient = SuperSpace(1, 2), SuperSpace(2, 3)
+    embedding = MultilinearMap(
+        (fmt,),
+        ambient,
+        {((1,), 1): 1, ((1,), 2): 2, ((2,), 3): 1, ((2,), 4): "-1/2", ((3,), 3): 1, ((3,), 5): 3},
+    )
+    rebuilt = vbar_module(fmt, 3)
+
+    def basis(n):
+        points = [lift_multilinear(embedding, (x,)) for x in rebuilt.basis(n)]
+        if skip_body and n == 1:
+            points = points[1:]
+        if drop is not None and drop[0] == n:
+            del points[drop[1]]
+        return points + [points[0] + scale_point(Fraction(-3, 2), points[-1])]
+
+    return CandidateModule(ambient, 3, basis)
+
+
+class TestSuperrepOnEmbeddedCandidates:
+    def test_embedded_format_with_redundant_points_accepted(self):
+        verdict = superrep_check(embedded_candidate())
+        assert verdict.superrepresentable and verdict.format == SuperSpace(1, 2)
+
+    def test_dropped_point_rejected(self):
+        for n in (2, 3):
+            verdict = superrep_check(embedded_candidate(drop=(n, 1)))
+            assert not verdict.superrepresentable and verdict.format is None
+            assert verdict.reasons == (f"points over {n} generators differ from the rebuilt module of format 1|2",)
+
+    def test_missing_body_direction_rejected(self):
+        verdict = superrep_check(embedded_candidate(skip_body=True))
+        assert not verdict.superrepresentable
+        assert verdict.reasons == (
+            "killing the generator of the 1-generator algebra is not surjective onto the ground value",
+        )
+
+    def test_basis_point_outside_the_ambient_raises(self):
+        short = LambdaPoint(SuperSpace(1, 0), 0, [GrassmannElement.scalar(0, 1)])
+        candidate = CandidateModule(SuperSpace(2, 1), 1, lambda n: [short] if n == 0 else [])
+        with pytest.raises(DimensionError, match="basis point 0 for n=0"):
+            superrep_check(candidate)
+        over_two = LambdaPoint(SuperSpace(2, 1), 2, [GrassmannElement.zero(2)] * 3)
+        candidate = CandidateModule(SuperSpace(2, 1), 2, lambda n: [over_two] * 2)
+        with pytest.raises(DimensionError, match="basis point 0 for n=0"):
+            superrep_check(candidate)

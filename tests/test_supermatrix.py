@@ -217,3 +217,10 @@ class TestGLCheck:
     def test_ground_field_case(self):
         report = gl_group_check(0, 2, 2, trials=20, seed=12)
         assert report.passed, report.violations
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_seed_sweep(self, p, q):
+        for n in range(4):
+            for seed in range(20):
+                report = gl_group_check(n, p, q, trials=3, seed=seed)
+                assert report.trials == 3 and report.passed, (n, seed, report.violations)
