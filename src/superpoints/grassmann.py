@@ -25,18 +25,20 @@ pairs rather than ``4**n``.  Sums of products (matrix entries), base change
 images) and powers and inverses (a series in the nilpotent part, at most
 ``n`` products) share the kernel.
 
-Results of internal arithmetic go through a trusted constructor that skips
-the coercion and range checks of the public ``GrassmannElement(n, terms)``.
+Validation follows the policy of ``_value``: the public constructors
+``GrassmannElement(n, terms)`` and ``GrassmannMorphism(src_n, dst_m, images)``
+check their input, and the results of arithmetic, base change and
+composition are built with ``_make`` without a second check.
 
 The canonical sparse form is shared: a Grassmann element, a ``PolyCoeff``
 (exponent tuple -> rational) and a ``Superfunction`` (odd bitmask ->
 ``PolyCoeff``) each map monomial keys to nonzero exact coefficients.  Their
-base ``_SparseForm`` holds immutability, structural ``==`` with a hash key
-built on first use, ``bool``, the additive group with rationals embedded as
+base ``_SparseForm`` holds structural ``==`` with a hash key built on first
+use, ``bool``, the additive group with rationals embedded as
 constants, scaling, square-and-multiply ``**`` that stops at a zero square,
 and the text through ``format_terms``; ``sum_terms`` adds many at once.  A
 subclass supplies its validating constructor, ``_dims`` (the dimensions
-operands must share), ``_new`` (its trusted constructor), ``_embed`` (a
+operands must share), ``_new`` (``_make`` with its own dimensions), ``_embed`` (a
 constant), ``_monomial`` (the text of one key) and ``__mul__``: ``gr_mul``
 here, ``poly_dot`` in ``poly``, ``_gd_mul`` in ``skeleton``.  The two product
 loops stay apart: ``_mul_into`` runs on integer numerators for rational
@@ -52,6 +54,7 @@ from math import comb, lcm
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._value import Value
 from .errors import DimensionError, NotInvertibleError, ParityError
 
 #: Monomials are bitmasks; 64 generators is far beyond desk scale already.
@@ -66,6 +69,11 @@ class Parity(Enum):
     ODD = "odd"
     INDEFINITE = "indefinite"
     ZERO = "zero"
+
+
+def check_generator_count(n) -> None:
+    if not isinstance(n, int) or n < 0 or n > MAX_GENERATORS:
+        raise DimensionError(f"generator count must be in 0..{MAX_GENERATORS}, got {n}")
 
 
 def monomial_sign(a: int, b: int) -> int:
@@ -119,7 +127,7 @@ def indices_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _SparseForm:
+class _SparseForm(Value):
     """An immutable map from monomial keys to nonzero exact coefficients.
 
     Besides the hooks named in the module docstring, a subclass sets
@@ -127,9 +135,6 @@ class _SparseForm:
     """
 
     __slots__ = ("terms", "_key")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check_dims(self, other: "_SparseForm"):
         if self._dims != other._dims:
@@ -146,7 +151,7 @@ class _SparseForm:
 
     def __hash__(self):
         if self._key is None:
-            object.__setattr__(self, "_key", (self._dims, tuple(sorted(self.terms.items()))))
+            self._cache("_key", (self._dims, tuple(sorted(self.terms.items()))))
         return hash(self._key)
 
     # -- the additive group and scaling ------------------------------------------
@@ -295,8 +300,7 @@ class GrassmannElement(_SparseForm):
     _monomial = staticmethod(_odd_monomial)
 
     def __init__(self, n: int, terms: Mapping[int, Fraction | int | str]):
-        if not isinstance(n, int) or n < 0 or n > MAX_GENERATORS:
-            raise DimensionError(f"generator count must be in 0..{MAX_GENERATORS}, got {n}")
+        check_generator_count(n)
         clean: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
             c = coeff if type(coeff) is Fraction else as_fraction(coeff)
@@ -305,12 +309,10 @@ class GrassmannElement(_SparseForm):
             if mask < 0 or mask >> n:
                 raise DimensionError(f"monomial {indices_of_mask(mask)} outside generators 1..{n}")
             clean[mask] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_key", None)
+        self._fill(n, clean)
 
     def _new(self, terms):
-        return _trusted(self.n, terms)
+        return GrassmannElement._make(self.n, terms)
 
     def _embed(self, value):
         return GrassmannElement.scalar(self.n, value)
@@ -334,7 +336,8 @@ class GrassmannElement(_SparseForm):
         """The generator ``t_i``, 1-based."""
         if not 1 <= i <= n:
             raise DimensionError(f"generator index {i} outside 1..{n}")
-        return cls(n, {1 << (i - 1): 1})
+        check_generator_count(n)
+        return cls._make(n, {1 << (i - 1): Fraction(1)})
 
     @classmethod
     def monomial(cls, n: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
@@ -360,20 +363,6 @@ class GrassmannElement(_SparseForm):
 
     def __repr__(self):
         return f"<GrassmannElement n={self.n} {self}>"
-
-
-_set_n = GrassmannElement.n.__set__
-_set_terms = GrassmannElement.terms.__set__
-_set_key = GrassmannElement._key.__set__
-
-
-def _trusted(n: int, terms: dict[int, Fraction]) -> GrassmannElement:
-    """An element from canonical terms (nonzero ``Fraction`` values, masks in range)."""
-    e = object.__new__(GrassmannElement)
-    _set_n(e, n)
-    _set_terms(e, terms)
-    _set_key(e, None)
-    return e
 
 
 # -- the integer product kernel ---------------------------------------------------
@@ -430,7 +419,7 @@ def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int], 
 
 def _element(n: int, acc: dict[int, int], den: int) -> GrassmannElement:
     """The element ``acc / den``: one ``Fraction`` per nonzero numerator."""
-    return _trusted(n, {m: Fraction(v, den) for m, v in acc.items() if v})
+    return GrassmannElement._make(n, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 
 def _matrix_product(
@@ -509,7 +498,7 @@ def gr_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
             for mb, cb in bt.items():
                 if not ma & mb:
                     terms[ma | mb] = neg * cb if (mb & sm).bit_count() & 1 else ca * cb
-        return _trusted(a.n, terms)
+        return GrassmannElement._make(a.n, terms)
     da, (na,) = _numerators([at])
     db, (nb,) = _numerators([bt])
     acc: dict[int, int] = {}
@@ -534,15 +523,15 @@ def body(a: GrassmannElement) -> Fraction:
 
 
 def nil_part(a: GrassmannElement) -> GrassmannElement:
-    return _trusted(a.n, {m: c for m, c in a.terms.items() if m})
+    return GrassmannElement._make(a.n, {m: c for m, c in a.terms.items() if m})
 
 
 def even_part(a: GrassmannElement) -> GrassmannElement:
-    return _trusted(a.n, {m: c for m, c in a.terms.items() if not m.bit_count() & 1})
+    return GrassmannElement._make(a.n, {m: c for m, c in a.terms.items() if not m.bit_count() & 1})
 
 
 def odd_part(a: GrassmannElement) -> GrassmannElement:
-    return _trusted(a.n, {m: c for m, c in a.terms.items() if m.bit_count() & 1})
+    return GrassmannElement._make(a.n, {m: c for m, c in a.terms.items() if m.bit_count() & 1})
 
 
 def gr_inv(a: GrassmannElement) -> GrassmannElement:
@@ -561,14 +550,16 @@ def gr_inv(a: GrassmannElement) -> GrassmannElement:
 # -- morphisms ---------------------------------------------------------------
 
 
-class GrassmannMorphism:
+class GrassmannMorphism(Value):
     """A parity-preserving unital algebra morphism between Grassmann algebras.
 
     Determined by the images of the source generators, which must be odd (or
     zero) elements of the target algebra; this is validated at construction.
     """
 
-    __slots__ = ("src_n", "dst_m", "images", "_key")
+    __slots__ = ("src_n", "dst_m", "images")
+
+    _key = property(attrgetter("src_n", "dst_m", "images"))
 
     def __init__(self, src_n: int, dst_m: int, images: Iterable[GrassmannElement]):
         images = tuple(images)
@@ -579,44 +570,35 @@ class GrassmannMorphism:
                 raise DimensionError(f"image of t{i} lives over {img.n} generators, expected {dst_m}")
             if parity_of(img) not in (Parity.ODD, Parity.ZERO):
                 raise ParityError(f"image of t{i} is not odd: {img}")
-        object.__setattr__(self, "src_n", src_n)
-        object.__setattr__(self, "dst_m", dst_m)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_key", (src_n, dst_m, images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannMorphism is immutable")
+        check_generator_count(src_n)
+        check_generator_count(dst_m)
+        self._fill(src_n, dst_m, images)
 
     @classmethod
     def identity(cls, n: int) -> "GrassmannMorphism":
-        return cls(n, n, [GrassmannElement.theta(n, i) for i in range(1, n + 1)])
+        return cls.inclusion(n, n)
 
     @classmethod
     def terminal(cls, n: int) -> "GrassmannMorphism":
         """The unique morphism onto the ground field: every generator maps to zero."""
-        return cls(n, 0, [GrassmannElement.zero(0)] * n)
+        check_generator_count(n)
+        return cls._make(n, 0, (GrassmannElement._make(0, {}),) * n)
 
     @classmethod
     def inclusion(cls, n: int, m: int) -> "GrassmannMorphism":
         """The inclusion sending ``t_i`` to ``t_i``; requires ``n <= m``."""
         if n > m:
             raise DimensionError(f"cannot include {n} generators into {m}")
-        return cls(n, m, [GrassmannElement.theta(m, i) for i in range(1, n + 1)])
+        check_generator_count(n)
+        check_generator_count(m)
+        return cls._make(n, m, tuple(GrassmannElement.theta(m, i) for i in range(1, n + 1)))
 
     @classmethod
     def kill_generator(cls, n: int, l: int) -> "GrassmannMorphism":
         """The endomorphism sending ``t_l`` to zero and fixing the other generators."""
-        images = [
-            GrassmannElement.zero(n) if i == l else GrassmannElement.theta(n, i)
-            for i in range(1, n + 1)
-        ]
-        return cls(n, n, images)
-
-    def __eq__(self, other):
-        return isinstance(other, GrassmannMorphism) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        check_generator_count(n)
+        zero = GrassmannElement._make(n, {})
+        return cls._make(n, n, tuple(zero if i == l else GrassmannElement.theta(n, i) for i in range(1, n + 1)))
 
     def __call__(self, a: GrassmannElement) -> GrassmannElement:
         return morphism_apply(self, a)
@@ -672,7 +654,7 @@ def morphism_compose(psi: GrassmannMorphism, phi: GrassmannMorphism) -> Grassman
     """The composite ``psi after phi``."""
     if phi.dst_m != psi.src_n:
         raise DimensionError(f"cannot compose {psi.src_n}->{psi.dst_m} after {phi.src_n}->{phi.dst_m}")
-    return GrassmannMorphism(phi.src_n, psi.dst_m, [morphism_apply(psi, img) for img in phi.images])
+    return GrassmannMorphism._make(phi.src_n, psi.dst_m, tuple(morphism_apply(psi, img) for img in phi.images))
 
 
 # -- canonical text form ------------------------------------------------------

@@ -6,8 +6,8 @@ reduced by one function, ``row_space``.  It returns the reduced row echelon
 basis of the span, which is unique: every row has coefficient 1 at its pivot (its
 smallest key), and no other row has that key.  So two spans are equal exactly
 when their ``row_space`` dicts are equal, and the rank is the dict's length.
-``det`` and ``inverse`` work on the small dense body matrices of
-supermatrices (lists of lists of Fractions).
+``inverse`` works on the small dense body matrices of supermatrices (lists
+of lists of Fractions).
 """
 
 from __future__ import annotations
@@ -48,26 +48,6 @@ def _subtract(target: dict, factor: Fraction, row: Mapping) -> None:
             target[key] = value
         else:
             del target[key]
-
-
-def det(rows: Matrix) -> Fraction:
-    k = len(rows)
-    m = [row[:] for row in rows]
-    result = Fraction(1)
-    for c in range(k):
-        pivot = next((i for i in range(c, k) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, k):
-            if m[i][c]:
-                factor = m[i][c] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return result
 
 
 def inverse(rows: Matrix) -> Matrix:

@@ -13,13 +13,46 @@ generators, ``x<k>`` the even variables.  Errors carry precise byte offsets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, log10
 
 from .errors import ParseError
 from .grassmann import GrassmannElement, sum_terms
 from .poly import PolyCoeff
 from .skeleton import Superfunction
+
+
+#: The most decimal digits, and the highest degree, that the part of a power
+#: which does not vanish may reach.  It is Python's default limit on the
+#: digits of an int converted to text, so a power refused for its digits
+#: could not, cancellation aside, be printed either.
+POWER_LIMIT = 4300
+
+
+def _check_power(value, k: int, pos: int) -> None:
+    """Refuse ``value ** k`` before any work when the power of its body is too large.
+
+    The body is the part of ``value`` free of odd generators; the rest is
+    nilpotent and adds a bounded number of binomial terms.  With ``den`` the
+    common denominator of the body's coefficients and ``num`` the sum of their
+    numerators over it, the body to the ``k`` has coefficients of at most
+    ``k * log10(max(num, den))`` digits and ``k`` times the body's degree.
+    """
+    part = value if isinstance(value, PolyCoeff) else value.terms.get(0)
+    body = part.terms if isinstance(part, PolyCoeff) else {(): part} if part else {}
+    if not body:
+        return
+    den = lcm(*[c.denominator for c in body.values()])
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in body.values())
+    digits = k * log10(max(num, den))
+    degree = k * max(map(sum, body))
+    if digits > POWER_LIMIT or degree > POWER_LIMIT:
+        raise ValueError(
+            f"exponent {k} at offset {pos} is too large: the power would reach about {digits:.0f} digits "
+            f"and degree {degree}, and the limit is {POWER_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -139,6 +172,7 @@ class _Parser:
             if exp.kind != "NUMBER" or exp.value.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", exp.pos)
             self.next()
+            _check_power(value, int(exp.value), exp.pos)
             value = value ** int(exp.value)
         return value
 
@@ -162,17 +196,26 @@ class _Parser:
         raise ParseError("expected a value", token.pos)
 
 
+# Each algebra builds its unit through the public constructors at the first
+# atom, so the dimensions are checked where they always were; the atoms are
+# built from the unit and the checked index without a second check.
+
+
 class _GrassmannAlgebra:
     def __init__(self, n: int):
         self.n = n
 
+    @functools.cached_property
+    def one(self) -> GrassmannElement:
+        return GrassmannElement.one(self.n)
+
     def rational(self, value: Fraction) -> GrassmannElement:
-        return GrassmannElement.scalar(self.n, value)
+        return value * self.one
 
     def generator(self, k: int, pos: int) -> GrassmannElement:
         if not 1 <= k <= self.n:
             raise ParseError(f"generator t{k} outside 1..{self.n}", pos)
-        return GrassmannElement.theta(self.n, k)
+        return GrassmannElement._make(self.one.n, {1 << (k - 1): Fraction(1)})
 
     def variable(self, k: int, pos: int):
         raise ParseError("even variables are not allowed in a Grassmann expression", pos)
@@ -183,26 +226,34 @@ class _SuperfunctionAlgebra:
         self.p = p
         self.q = q
 
+    @functools.cached_property
+    def one(self) -> Superfunction:
+        return Superfunction.const(self.p, self.q, 1)
+
     def rational(self, value: Fraction) -> Superfunction:
-        return Superfunction.const(self.p, self.q, value)
+        return value * self.one
 
     def generator(self, k: int, pos: int) -> Superfunction:
         if not 1 <= k <= self.q:
             raise ParseError(f"generator t{k} outside 1..{self.q}", pos)
-        return Superfunction.theta(self.p, self.q, k)
+        return Superfunction._make(self.p, self.q, {1 << (k - 1): self.one.terms[0]})
 
     def variable(self, k: int, pos: int) -> Superfunction:
         if not 1 <= k <= self.p:
             raise ParseError(f"variable x{k} outside 1..{self.p}", pos)
-        return Superfunction.coordinate(self.p, self.q, k)
+        return Superfunction._make(self.p, self.q, {0: PolyCoeff.variable(self.one.p, k)})
 
 
 class _PolyAlgebra:
     def __init__(self, nvars: int):
         self.nvars = nvars
 
+    @functools.cached_property
+    def one(self) -> PolyCoeff:
+        return PolyCoeff.const(self.nvars, 1)
+
     def rational(self, value: Fraction) -> PolyCoeff:
-        return PolyCoeff.const(self.nvars, value)
+        return value * self.one
 
     def generator(self, k: int, pos: int):
         raise ParseError("odd generators are not allowed in a polynomial", pos)

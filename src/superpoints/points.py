@@ -23,15 +23,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
+from ._value import Value
 from .errors import DimensionError, ParityError, ReconstructionError
 from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
     Parity,
     body,
+    check_generator_count,
     gr_add,
     gr_mul,
     gr_scale,
@@ -50,7 +53,7 @@ def reversal_sign(j: int) -> int:
     return -1 if (j * (j - 1) // 2) & 1 else 1
 
 
-class LambdaPoint:
+class LambdaPoint(Value):
     """An element of the point set of ``space`` over the algebra on ``n`` generators.
 
     The first ``p`` coordinates must be even (or zero) Grassmann elements, the
@@ -58,7 +61,9 @@ class LambdaPoint:
     the tensor product and is validated at construction.
     """
 
-    __slots__ = ("space", "n", "coords", "_key")
+    __slots__ = ("space", "n", "coords")
+
+    _key = property(attrgetter("space", "n", "coords"))
 
     def __init__(self, space: SuperSpace, n: int, coords: Iterable[GrassmannElement]):
         coords = tuple(coords)
@@ -70,13 +75,8 @@ class LambdaPoint:
             want = Parity.EVEN if space.parity(i) == 0 else Parity.ODD
             if parity_of(c) not in (want, Parity.ZERO):
                 raise ParityError(f"coordinate {i} must be {want.value} or zero, got {c}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_key", (space, n, coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoint is immutable")
+        check_generator_count(n)
+        self._fill(space, n, coords)
 
     @classmethod
     def zero(cls, space: SuperSpace, n: int) -> "LambdaPoint":
@@ -93,20 +93,12 @@ class LambdaPoint:
             coords.append(GrassmannElement.scalar(n, c))
         return cls(v.space, n, coords)
 
-    def __eq__(self, other):
-        return isinstance(other, LambdaPoint) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
     def __add__(self, other: "LambdaPoint") -> "LambdaPoint":
         if not isinstance(other, LambdaPoint):
             return NotImplemented
         if self.space != other.space or self.n != other.n:
             raise DimensionError("mismatched point formats")
-        return LambdaPoint(
-            self.space, self.n, tuple(gr_add(a, b) for a, b in zip(self.coords, other.coords))
-        )
+        return LambdaPoint._make(self.space, self.n, tuple(gr_add(a, b) for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LambdaPoint") -> "LambdaPoint":
         return self + scale_point(Fraction(-1), other)
@@ -121,31 +113,25 @@ def scale_point(scalar, x: LambdaPoint) -> LambdaPoint:
     if isinstance(scalar, GrassmannElement):
         if parity_of(scalar) not in (Parity.EVEN, Parity.ZERO):
             raise ParityError("the module action requires an even scalar")
-        return LambdaPoint(x.space, x.n, tuple(gr_mul(scalar, c) for c in x.coords))
+        return LambdaPoint._make(x.space, x.n, tuple(gr_mul(scalar, c) for c in x.coords))
     r = Fraction(scalar)
-    return LambdaPoint(x.space, x.n, tuple(gr_scale(r, c) for c in x.coords))
+    return LambdaPoint._make(x.space, x.n, tuple(gr_scale(r, c) for c in x.coords))
 
 
 def base_change(phi: GrassmannMorphism, x: LambdaPoint) -> LambdaPoint:
     """Push a point forward along a Grassmann morphism, coordinate-wise."""
     if x.n != phi.src_n:
         raise DimensionError(f"point over {x.n} generators, morphism expects {phi.src_n}")
-    return LambdaPoint(x.space, phi.dst_m, tuple(morphism_apply(phi, c) for c in x.coords))
+    return LambdaPoint._make(x.space, phi.dst_m, tuple(morphism_apply(phi, c) for c in x.coords))
 
 
 def decompose_point(x: LambdaPoint) -> tuple[SuperVector, LambdaPoint]:
-    """Split into the rational body (even directions only) and the nilpotent rest."""
-    body_coords = []
-    nil_coords = []
-    for i in x.space.indices():
-        c = x.coords[i - 1]
-        if x.space.parity(i) == 0:
-            body_coords.append(body(c))
-            nil_coords.append(nil_part(c))
-        else:
-            body_coords.append(Fraction(0))
-            nil_coords.append(c)
-    return SuperVector(x.space, tuple(body_coords)), LambdaPoint(x.space, x.n, nil_coords)
+    """Split into the rational body (even directions only) and the nilpotent rest.
+
+    Odd coordinates have no body, so they are all nilpotent rest.
+    """
+    nil = LambdaPoint._make(x.space, x.n, tuple(map(nil_part, x.coords)))
+    return SuperVector(x.space, tuple(map(body, x.coords))), nil
 
 
 def lift_multilinear(f: MultilinearMap, args: Sequence[LambdaPoint]) -> LambdaPoint:
@@ -165,9 +151,9 @@ def lift_multilinear(f: MultilinearMap, args: Sequence[LambdaPoint]) -> LambdaPo
             raise DimensionError(f"argument space {x.space} does not match domain {space}")
         if x.n != n:
             raise DimensionError("arguments live over different generator counts")
-    out = [GrassmannElement.zero(n) for _ in range(f.codomain.dim)]
+    out = [GrassmannElement._make(n, {})] * f.codomain.dim
     for (ins, c), coeff in f.coeffs.items():
-        factor = GrassmannElement.scalar(n, coeff)
+        factor = GrassmannElement._make(n, {0: coeff})
         # reversed order: the last argument's coordinate multiplies first
         for x, i in zip(reversed(args), reversed(ins)):
             factor = gr_mul(factor, x.coords[i - 1])
@@ -175,7 +161,7 @@ def lift_multilinear(f: MultilinearMap, args: Sequence[LambdaPoint]) -> LambdaPo
                 break
         if not factor.is_zero():
             out[c - 1] = gr_add(out[c - 1], factor)
-    return LambdaPoint(f.codomain, n, out)
+    return LambdaPoint._make(f.codomain, n, tuple(out))
 
 
 # -- point families -----------------------------------------------------------
@@ -242,7 +228,7 @@ def injected_constant_family(
             coords[out_index - 1] = gr_add(
                 coords[out_index - 1], GrassmannElement.monomial(n, indices)
             )
-            value = LambdaPoint(value.space, n, coords)
+            value = LambdaPoint._make(value.space, n, tuple(coords))
         return value
 
     return PointFamily(f.domains, f.codomain, component, n_max)
@@ -321,13 +307,13 @@ def reconstruct_multilinear(family: PointFamily) -> MultilinearMap:
         args = []
         odd_slot = 0
         for space, i in zip(domains, ins):
-            coords = [GrassmannElement.zero(j) for _ in range(space.dim)]
+            coords = [GrassmannElement._make(j, {})] * space.dim
             if space.parity(i):
                 odd_slot += 1
                 coords[i - 1] = GrassmannElement.theta(j, odd_slot)
             else:
-                coords[i - 1] = GrassmannElement.one(j)
-            args.append(LambdaPoint(space, j, coords))
+                coords[i - 1] = GrassmannElement._make(j, {0: Fraction(1)})
+            args.append(LambdaPoint._make(space, j, tuple(coords)))
         args = tuple(args)
         value = family(j, args)
 
@@ -373,7 +359,7 @@ def reconstruct_multilinear(family: PointFamily) -> MultilinearMap:
 def morphism_to_point(phi: GrassmannMorphism) -> LambdaPoint:
     """The point of the purely odd space ``0|src_n`` whose coordinates are the images."""
     space = SuperSpace(0, phi.src_n)
-    return LambdaPoint(space, phi.dst_m, phi.images)
+    return LambdaPoint._make(space, phi.dst_m, phi.images)
 
 
 def point_to_morphism(x: LambdaPoint) -> GrassmannMorphism:
@@ -415,32 +401,27 @@ class CandidateModule:
 
 def vbar_module(space: SuperSpace, n_max: int = N_MAX_DEFAULT) -> CandidateModule:
     """The full point functor of ``space`` as a candidate module."""
-
-    def basis(n: int) -> list[LambdaPoint]:
-        out = []
-        for i, mask in ambient_basis(space, n):
-            coords = [GrassmannElement.zero(n) for _ in range(space.dim)]
-            coords[i - 1] = GrassmannElement(n, {mask: 1})
-            out.append(LambdaPoint(space, n, coords))
-        return out
-
+    basis = functools.partial(_basis_points, space, False)
     return CandidateModule(space, n_max, basis, name=f"points of {space}")
 
 
 def vnil_module(space: SuperSpace, n_max: int = N_MAX_DEFAULT) -> CandidateModule:
     """The nilpotent-part subfunctor: coordinates with vanishing body."""
-
-    def basis(n: int) -> list[LambdaPoint]:
-        out = []
-        for i, mask in ambient_basis(space, n):
-            if mask == 0:
-                continue
-            coords = [GrassmannElement.zero(n) for _ in range(space.dim)]
-            coords[i - 1] = GrassmannElement(n, {mask: 1})
-            out.append(LambdaPoint(space, n, coords))
-        return out
-
+    basis = functools.partial(_basis_points, space, True)
     return CandidateModule(space, n_max, basis, name=f"nilpotent points of {space}")
+
+
+def _basis_points(space: SuperSpace, nilpotent: bool, n: int) -> list[LambdaPoint]:
+    """The points with one coordinate a unit monomial, leaving out the body
+    monomial when ``nilpotent``."""
+    zero = GrassmannElement._make(n, {})
+    out = []
+    for i, mask in ambient_basis(space, n):
+        if mask or not nilpotent:
+            coords = [zero] * space.dim
+            coords[i - 1] = GrassmannElement._make(n, {mask: Fraction(1)})
+            out.append(LambdaPoint._make(space, n, tuple(coords)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Used as the coefficient maps of skeletons: variables ``x1..xp`` range over the
 even directions of a domain.  Exponent tuples are the monomial keys of the
-canonical sparse form that ``grassmann._SparseForm`` shares, and exact
-partial derivatives of any order are available.
+canonical sparse form that ``grassmann._SparseForm`` shares.
 
 The product kernel works on integers and computes sums of products
 ``sum(a_i * b_i)`` in one pass (``poly_dot``; a single product is the case
@@ -21,9 +20,9 @@ distinct output monomials and takes a direct ``Fraction`` path.  Evaluation
 keeps one table of powers per variable instead of multiplying by a value
 once per unit of exponent.
 
-Results of internal arithmetic go through a trusted constructor that skips
-the coercion and validation of the public ``PolyCoeff(nvars, terms)``.  The
-hash key of a polynomial is built on first use.
+The public ``PolyCoeff(nvars, terms)`` checks its input; the results of
+arithmetic are built with ``_make`` without a second check (the validation
+policy of ``_value``).  The hash key of a polynomial is built on first use.
 """
 
 from __future__ import annotations
@@ -59,13 +58,10 @@ class PolyCoeff(_SparseForm):
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             clean[exps] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_ints", None)
+        self._fill(nvars, clean)
 
     def _new(self, terms):
-        return _trusted(self.nvars, terms)
+        return PolyCoeff._make(self.nvars, terms)
 
     def _embed(self, value):
         return PolyCoeff.const(self.nvars, value)
@@ -87,8 +83,7 @@ class PolyCoeff(_SparseForm):
         """The variable ``x_i``, 1-based."""
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} outside 1..{nvars}")
-        exps = tuple(int(j == i) for j in range(1, nvars + 1))
-        return cls(nvars, {exps: 1})
+        return cls._make(nvars, {tuple(int(j == i) for j in range(1, nvars + 1)): Fraction(1)})
 
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
@@ -98,24 +93,6 @@ class PolyCoeff(_SparseForm):
             self._check_dims(other)
             return poly_dot(self.nvars, [(self, other)])
         return self.__rmul__(other)
-
-    def diff(self, var: int) -> "PolyCoeff":
-        """Exact partial derivative with respect to ``x_var`` (1-based)."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var - 1]
-            if e:
-                terms[exps[: var - 1] + (e - 1,) + exps[var:]] = e * coeff
-        return _trusted(self.nvars, terms)
-
-    def diff_multi(self, orders: Sequence[int]) -> "PolyCoeff":
-        out = self
-        for var, k in enumerate(orders, start=1):
-            for _ in range(k):
-                out = out.diff(var)
-                if out.is_zero():
-                    return out
-        return out
 
     def eval(self, values: Sequence, one=Fraction(1)):
         """Evaluate at a value tuple; works for any commutative ring via duck typing.
@@ -139,22 +116,6 @@ class PolyCoeff(_SparseForm):
         return f"<PolyCoeff {self}>"
 
 
-_set_nvars = PolyCoeff.nvars.__set__
-_set_terms = PolyCoeff.terms.__set__
-_set_key = PolyCoeff._key.__set__
-_set_ints = PolyCoeff._ints.__set__
-
-
-def _trusted(nvars: int, terms: dict[tuple[int, ...], Fraction]) -> PolyCoeff:
-    """A polynomial from canonical terms (nonzero ``Fraction`` values, valid exponent tuples)."""
-    p = object.__new__(PolyCoeff)
-    _set_nvars(p, nvars)
-    _set_terms(p, terms)
-    _set_key(p, None)
-    _set_ints(p, None)
-    return p
-
-
 def poly_dot(nvars: int, pairs) -> PolyCoeff:
     """``sum(a * b for a, b in pairs)`` over one integer accumulator.
 
@@ -164,17 +125,17 @@ def poly_dot(nvars: int, pairs) -> PolyCoeff:
     ops = []
     for a, b in pairs:
         if not isinstance(b, PolyCoeff):
-            b = _trusted(nvars, {(0,) * nvars: Fraction(b)} if b else {})
+            b = PolyCoeff._make(nvars, {(0,) * nvars: Fraction(b)} if b else {})
         if a.terms and b.terms:
             ops.append((a, b))
     if not ops:
-        return _trusted(nvars, {})
+        return PolyCoeff._make(nvars, {})
     if len(ops) == 1:
         at, bt = ops[0][0].terms, ops[0][1].terms
         if len(at) == 1 or len(bt) == 1:
             # one term on one side: the output monomials are distinct, so
             # each coefficient is a single product of the inputs' Fractions
-            return _trusted(
+            return PolyCoeff._make(
                 nvars, {tuple(map(add, ea, eb)): ca * cb for ea, ca in at.items() for eb, cb in bt.items()}
             )
     width = FIELD_BITS
@@ -197,7 +158,7 @@ def poly_dot(nvars: int, pairs) -> PolyCoeff:
                 acc[k] = get(k, 0) + x * y
     shifts = range(0, width * nvars, width)
     field = (1 << width) - 1
-    return _trusted(
+    return PolyCoeff._make(
         nvars,
         {tuple([k >> s & field for s in shifts]): Fraction(v, den) for k, v in acc.items() if v},
     )
@@ -218,7 +179,7 @@ def _packed(p: PolyCoeff, width: int) -> tuple[int, int, dict[int, int]]:
         }
         top = max(map(max, terms)) if p.nvars else 0
         cached = (width, top, den, keys)
-        _set_ints(p, cached)
+        p._cache("_ints", cached)
     return cached[1:]
 
 

@@ -5,7 +5,7 @@ an alternating ``k``-form on the odd directions of the domain whose components
 are polynomials in the even variables, taking values in codomain directions of
 parity ``k mod 2``.  Evaluation at a point over a Grassmann algebra is a
 terminating Taylor expansion in the nilpotent part of the point; because the
-coefficients are polynomials with exact derivatives, every value is exact.
+coefficients are polynomials with rational coefficients, every value is exact.
 
 Normalization (fixed here, enforced by the round-trip and evaluation tests):
 the ``k``-form evaluated on an ascending tuple of odd directions ``I`` equals
@@ -26,12 +26,14 @@ from math import comb, lcm, prod
 from operator import attrgetter, sub
 from typing import Callable, Mapping, Sequence
 
+from ._value import Value
 from .errors import DimensionError, DomainError, ParityError
 from .grassmann import (
     GrassmannElement,
     _SparseForm,
     _odd_monomial,
     _sign_mask,
+    check_generator_count,
     even_part,
     gr_add,
     gr_mul,
@@ -54,7 +56,7 @@ from .superlinear import MultilinearMap, SuperSpace
 Box = tuple[tuple[Fraction, Fraction], ...]
 
 
-class Skeleton:
+class Skeleton(Value):
     """Coefficient data of a supersmooth map ``domain -> codomain``.
 
     ``forms[k]`` maps ``(I, c)`` to a polynomial in the even variables, where
@@ -64,7 +66,11 @@ class Skeleton:
     identically and are not stored.
     """
 
-    __slots__ = ("domain", "codomain", "forms", "dom_box", "_key")
+    __slots__ = ("domain", "codomain", "forms", "dom_box")
+
+    @property
+    def _key(self):
+        return self.domain, self.codomain, tuple(frozenset(table.items()) for table in self.forms), self.dom_box
 
     def __init__(
         self,
@@ -97,24 +103,7 @@ class Skeleton:
             dom_box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in dom_box)
             if len(dom_box) != domain.p:
                 raise DimensionError(f"domain box needs {domain.p} intervals")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "forms", tuple(clean))
-        object.__setattr__(self, "dom_box", dom_box)
-        object.__setattr__(
-            self,
-            "_key",
-            (domain, codomain, tuple(tuple(sorted(t.items())) for t in clean), dom_box),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Skeleton is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Skeleton) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        self._fill(domain, codomain, tuple(clean), dom_box)
 
     def __repr__(self):
         sizes = ", ".join(f"k={k}:{len(t)}" for k, t in enumerate(self.forms) if t)
@@ -127,7 +116,7 @@ def identity_skeleton(space: SuperSpace) -> Skeleton:
         forms[0][((), a)] = PolyCoeff.variable(space.p, a)
     for b in range(1, space.q + 1):
         forms[1][((b,), space.p + b)] = PolyCoeff.const(space.p, 1)
-    return Skeleton(space, space, forms)
+    return Skeleton._make(space, space, tuple(forms), None)
 
 
 # -- the Taylor engine ----------------------------------------------------------
@@ -302,8 +291,7 @@ def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
     mu = [dict(nil.coords[a].terms) for a in range(skel.domain.p)]
     nu = [dict(x.coords[skel.domain.p + b].terms) for b in range(skel.domain.q)]
     out = _eval_engine(skel, u, mu, nu, x.n, Fraction(1))
-    coords = [GrassmannElement(x.n, d) for d in out]
-    return LambdaPoint(skel.codomain, x.n, coords)
+    return LambdaPoint._make(skel.codomain, x.n, tuple(GrassmannElement._make(x.n, d) for d in out))
 
 
 def skeleton_compose(g: Skeleton, f: Skeleton) -> Skeleton:
@@ -344,7 +332,7 @@ def skeleton_compose(g: Skeleton, f: Skeleton) -> Skeleton:
                 poly = outv[c - 1].get(top)
                 if poly is not None and not poly.is_zero():
                     forms[k][(odd_idx, c)] = sign * poly
-    return Skeleton(f.domain, g.codomain, forms, dom_box=f.dom_box)
+    return Skeleton._make(f.domain, g.codomain, tuple(forms), f.dom_box)
 
 
 # -- superfunctions ---------------------------------------------------------------
@@ -377,18 +365,10 @@ class Superfunction(_SparseForm):
             if poly.nvars != p:
                 raise DimensionError(f"coefficient has {poly.nvars} variables, expected {p}")
             clean[mask] = poly
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_key", None)
+        self._fill(p, q, clean)
 
     def _new(self, terms):
-        f = object.__new__(Superfunction)
-        object.__setattr__(f, "p", self.p)
-        object.__setattr__(f, "q", self.q)
-        object.__setattr__(f, "terms", terms)
-        object.__setattr__(f, "_key", None)
-        return f
+        return Superfunction._make(self.p, self.q, terms)
 
     def _embed(self, value):
         return Superfunction.const(self.p, self.q, value)
@@ -456,7 +436,7 @@ R_SPACE = SuperSpace(1, 1)
 
 def element_to_point(g: GrassmannElement) -> LambdaPoint:
     """Identify a Grassmann element with a point of the format ``1|1``."""
-    return LambdaPoint(R_SPACE, g.n, (even_part(g), odd_part(g)))
+    return LambdaPoint._make(R_SPACE, g.n, (even_part(g), odd_part(g)))
 
 
 def point_to_element(x: LambdaPoint) -> GrassmannElement:
@@ -473,7 +453,7 @@ def superfunction_to_skeleton(f: Superfunction) -> Skeleton:
         k = len(odd_idx)
         c = 1 if k % 2 == 0 else 2
         forms[k][(odd_idx, c)] = reversal_sign(k) * poly
-    return Skeleton(SuperSpace(f.p, f.q), R_SPACE, forms)
+    return Skeleton._make(SuperSpace(f.p, f.q), R_SPACE, tuple(forms), None)
 
 
 def skeleton_to_superfunction(skel: Skeleton) -> Superfunction:
@@ -483,13 +463,7 @@ def skeleton_to_superfunction(skel: Skeleton) -> Superfunction:
     for k, table in enumerate(skel.forms):
         for (odd_idx, c), poly in table.items():
             terms[mask_of_indices(odd_idx)] = reversal_sign(k) * poly
-    return Superfunction(skel.domain.p, skel.domain.q, terms)
-
-
-def format_superfunction(f: Superfunction) -> str:
-    """Canonical text: terms in increasing odd bitmask order, each coefficient
-    parenthesised when it has several terms."""
-    return str(f)
+    return Superfunction._make(skel.domain.p, skel.domain.q, terms)
 
 
 # -- the derived multiplication on the representing space of the function algebra --
@@ -592,14 +566,15 @@ def _universal_point(domain: SuperSpace, u: Sequence[Fraction], pairs: int) -> L
     """
     p = domain.p
     n = 2 * p * pairs + domain.q
+    check_generator_count(n)
     coords = []
     for a, value in enumerate(u):
         terms = {0: value} if value else {}
         for j in range(pairs):
-            terms[0b11 << 2 * (a * pairs + j)] = 1
-        coords.append(GrassmannElement(n, terms))
+            terms[0b11 << 2 * (a * pairs + j)] = Fraction(1)
+        coords.append(GrassmannElement._make(n, terms))
     coords += [GrassmannElement.theta(n, 2 * p * pairs + b) for b in range(1, domain.q + 1)]
-    return LambdaPoint(domain, n, coords)
+    return LambdaPoint._make(domain, n, tuple(coords))
 
 
 def check_supersmooth(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._value import Value
 from .errors import DimensionError, ParityError
 
 
@@ -104,7 +105,7 @@ class SuperVector:
         return SuperVector(self.space, tuple(r * c for c in self.coords))
 
 
-class MultilinearMap:
+class MultilinearMap(Value):
     """An even rational multilinear map between super vector spaces.
 
     ``coeffs`` maps ``(input_indices, output_index)`` to the coefficient of the
@@ -113,7 +114,7 @@ class MultilinearMap:
     parity mod 2; this is validated at construction.
     """
 
-    __slots__ = ("domains", "codomain", "coeffs", "_key")
+    __slots__ = ("domains", "codomain", "coeffs")
 
     def __init__(
         self,
@@ -136,13 +137,7 @@ class MultilinearMap:
             if parity != codomain.parity(out):
                 raise ParityError(f"entry {(ins, out)} violates evenness")
             clean[(ins, out)] = c
-        object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_key", (domains, codomain, tuple(sorted(clean.items()))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultilinearMap is immutable")
+        self._fill(domains, codomain, clean)
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "MultilinearMap":
@@ -161,11 +156,9 @@ class MultilinearMap:
     def entry(self, ins: Sequence[int], out: int) -> Fraction:
         return self.coeffs.get((tuple(ins), out), Fraction(0))
 
-    def __eq__(self, other):
-        return isinstance(other, MultilinearMap) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+    @property
+    def _key(self):
+        return self.domains, self.codomain, frozenset(self.coeffs.items())
 
     def __repr__(self):
         doms = " x ".join(str(d) for d in self.domains)

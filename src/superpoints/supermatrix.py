@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import linalg
+from ._value import Value
 from .errors import DimensionError, NotInvertibleError, ParityError
 from .grassmann import (
     GrassmannElement,
@@ -21,16 +23,20 @@ from .grassmann import (
     Parity,
     _matrix_product,
     body,
+    check_generator_count,
     gr_add,
     gr_scale,
     morphism_apply,
+    nil_part,
     parity_of,
 )
 from .superlinear import SuperSpace, braid_swap, dual_space
 
 
-class SuperMatrix:
-    __slots__ = ("space", "n", "entries", "_key")
+class SuperMatrix(Value):
+    __slots__ = ("space", "n", "entries")
+
+    _key = property(attrgetter("space", "n", "entries"))
 
     def __init__(self, space: SuperSpace, n: int, entries: Iterable[Iterable[GrassmannElement]]):
         rows = tuple(tuple(row) for row in entries)
@@ -44,43 +50,25 @@ class SuperMatrix:
                 want = Parity.EVEN if space.parity(i) == space.parity(j) else Parity.ODD
                 if parity_of(entry) not in (want, Parity.ZERO):
                     raise ParityError(f"entry ({i},{j}) must be {want.value} or zero, got {entry}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_key", (space, n, rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
+        check_generator_count(n)
+        self._fill(space, n, rows)
 
     @classmethod
     def zero(cls, space: SuperSpace, n: int) -> "SuperMatrix":
-        z = GrassmannElement.zero(n)
-        return cls(space, n, [[z] * space.dim for _ in range(space.dim)])
+        check_generator_count(n)
+        zero = GrassmannElement._make(n, {})
+        return cls._make(space, n, ((zero,) * space.dim,) * space.dim)
 
     @classmethod
     def identity(cls, space: SuperSpace, n: int) -> "SuperMatrix":
-        return cls(
-            space,
-            n,
-            [
-                [GrassmannElement.scalar(n, int(i == j)) for j in range(space.dim)]
-                for i in range(space.dim)
-            ],
-        )
+        check_generator_count(n)
+        zero, one = GrassmannElement._make(n, {}), GrassmannElement._make(n, {0: Fraction(1)})
+        rows = tuple(tuple(one if i == j else zero for j in space.indices()) for i in space.indices())
+        return cls._make(space, n, rows)
 
     @classmethod
     def from_rational(cls, space: SuperSpace, n: int, rows: Sequence[Sequence[Fraction]]) -> "SuperMatrix":
-        return cls(
-            space,
-            n,
-            [[GrassmannElement.scalar(n, v) for v in row] for row in rows],
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, SuperMatrix) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return cls(space, n, [[GrassmannElement.scalar(n, v) for v in row] for row in rows])
 
     def __matmul__(self, other):
         return mat_mul(self, other)
@@ -100,31 +88,23 @@ def _check_compatible(a: SuperMatrix, b: SuperMatrix):
 
 def mat_add(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     _check_compatible(a, b)
-    return SuperMatrix(
-        a.space,
-        a.n,
-        [
-            [gr_add(x, y) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.entries, b.entries)
-        ],
-    )
+    return SuperMatrix._make(a.space, a.n, tuple(tuple(map(gr_add, ra, rb)) for ra, rb in zip(a.entries, b.entries)))
 
 
 def mat_mul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     _check_compatible(a, b)
-    return SuperMatrix(a.space, a.n, _matrix_product(a.n, a.entries, zip(*b.entries)))
+    return SuperMatrix._make(a.space, a.n, tuple(map(tuple, _matrix_product(a.n, a.entries, zip(*b.entries)))))
 
 
 def mat_scale(r, a: SuperMatrix) -> SuperMatrix:
-    return SuperMatrix(a.space, a.n, [[gr_scale(r, e) for e in row] for row in a.entries])
+    return SuperMatrix._make(a.space, a.n, tuple(tuple(gr_scale(r, e) for e in row) for row in a.entries))
 
 
 def mat_base_change(phi: GrassmannMorphism, a: SuperMatrix) -> SuperMatrix:
     if a.n != phi.src_n:
         raise DimensionError(f"matrix over {a.n} generators, morphism expects {phi.src_n}")
-    return SuperMatrix(
-        a.space, phi.dst_m, [[morphism_apply(phi, e) for e in row] for row in a.entries]
-    )
+    rows = tuple(tuple(morphism_apply(phi, e) for e in row) for row in a.entries)
+    return SuperMatrix._make(a.space, phi.dst_m, rows)
 
 
 def supertrace(a: SuperMatrix) -> GrassmannElement:
@@ -168,44 +148,34 @@ def body_matrix(a: SuperMatrix) -> list[list[Fraction]]:
 
 
 def is_invertible(a: SuperMatrix) -> bool:
-    """True iff both diagonal body blocks are invertible over the rationals."""
-    rows = body_matrix(a)
-    p, q = a.space.p, a.space.q
-    even_block = [row[:p] for row in rows[:p]]
-    odd_block = [row[p:] for row in rows[p:]]
-    if p and not linalg.det(even_block):
-        return False
-    if q and not linalg.det(odd_block):
-        return False
-    return True
+    """True iff the body is invertible over the rationals.
+
+    Odd entries have no body, so the body is block diagonal, and it is
+    invertible exactly when both diagonal blocks are.
+    """
+    return len(linalg.row_space(dict(enumerate(row)) for row in body_matrix(a))) == a.space.dim
 
 
 def mat_inv(a: SuperMatrix) -> SuperMatrix:
     """Exact inverse via the terminating geometric series around the body.
 
     Writing ``A = a0 + c`` with ``a0`` the (block-diagonal) body and ``c`` the
-    nilpotent rest, the inverse is
-    ``a0^-1 * sum_{k=0..n} (-1)^k (c a0^-1)^k``; truncation at ``k == n`` is
-    exact because each entry of ``c a0^-1`` is nilpotent and products of more
-    than ``n`` such factors vanish.
+    nilpotent rest, the inverse is ``a0^-1 * sum_{k=0..n} x^k`` with
+    ``x = -c a0^-1``; truncation at ``k == n`` is exact because each entry of
+    ``x`` is nilpotent and products of more than ``n`` such factors vanish.
     """
     if not is_invertible(a):
         raise NotInvertibleError("not invertible: singular body block")
     n = a.n
-    body_inv = linalg.inverse(body_matrix(a))
-    a0_inv = SuperMatrix.from_rational(a.space, n, body_inv)
-    a0 = SuperMatrix.from_rational(a.space, n, body_matrix(a))
-    c = mat_add(a, mat_scale(-1, a0))
-    x = mat_mul(c, a0_inv)
-    series = SuperMatrix.identity(a.space, n)
-    power = SuperMatrix.identity(a.space, n)
-    sign = 1
+    a0_inv = SuperMatrix.from_rational(a.space, n, linalg.inverse(body_matrix(a)))
+    minus_c = SuperMatrix._make(a.space, n, tuple(tuple(-nil_part(e) for e in row) for row in a.entries))
+    x = mat_mul(minus_c, a0_inv)
+    series = power = SuperMatrix.identity(a.space, n)
     for _ in range(n):
         power = mat_mul(power, x)
         if power == SuperMatrix.zero(a.space, n):
             break
-        sign = -sign
-        series = mat_add(series, mat_scale(sign, power))
+        series = mat_add(series, power)
     return mat_mul(a0_inv, series)
 
 

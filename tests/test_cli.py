@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -72,6 +74,33 @@ class TestEval:
         monkeypatch.setattr("sys.stdin", io.StringIO("t1 + t2"))
         code, out, _ = run_cli(capsys, "eval", "-n", "2", "--file", "-")
         assert (code, out) == (0, "t1 + t2\n")
+
+
+class TestPowerLimit:
+    """``^`` refuses a power whose part free of nilpotents would be too large, before any work."""
+
+    @pytest.mark.parametrize("argv, exponent", [
+        (["-p", "1", "-q", "1", "(2+x1)^999999"], "999999"),
+        (["-n", "2", "(2+t1)^99999999"], "99999999"),
+    ])
+    def test_too_large_exits_1_at_once(self, capsys, argv, exponent):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err.startswith(f"exponent {exponent} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, want", [
+        ("t1^999999999", "0"),
+        ("(t1+t2)^99999999", "0"),
+        ("(1+t1)^1000000", "1 + 1000000*t1"),
+    ])
+    def test_nilpotent_and_unit_bodies_pass(self, capsys, text, want):
+        assert run_cli(capsys, "eval", "-n", "2", text) == (0, want + "\n", "")
+
+    def test_power_within_the_limit(self, capsys):
+        terms = ["1", "3000*x1"] + [f"{comb(3000, j)}*x1^{j}" for j in range(2, 3000)] + ["x1^3000"]
+        assert run_cli(capsys, "eval", "-p", "1", "-q", "1", "(1+x1)^3000") == (0, f"({' + '.join(terms)})\n", "")
 
 
 class TestInv:

@@ -26,7 +26,7 @@ from superpoints import (
     odd_part,
     parity_of,
 )
-from superpoints.grassmann import monomial_sign
+from superpoints.grassmann import MAX_GENERATORS, monomial_sign
 from superpoints.sampling import random_element
 
 from helpers import mul_reference, sign_by_sorting
@@ -239,6 +239,12 @@ class TestMorphisms:
     def test_wrong_target_rejected(self):
         with pytest.raises(DimensionError):
             GrassmannMorphism(1, 2, [theta(3, 1)])
+
+    @pytest.mark.parametrize("dst_m", [-1, MAX_GENERATORS + 1])
+    def test_target_count_out_of_range_rejected(self, dst_m):
+        # no image carries the target count, so the constructor checks it itself
+        with pytest.raises(DimensionError, match=f"generator count must be in 0..{MAX_GENERATORS}, got {dst_m}"):
+            GrassmannMorphism(0, dst_m, [])
 
     def test_identity_neutral(self):
         rng = random.Random(3)

@@ -56,6 +56,11 @@ class TestLambdaPoint:
         x = LambdaPoint.zero(SuperSpace(2, 1), 3)
         assert all(c.is_zero() for c in x.coords)
 
+    def test_generator_count_out_of_range_rejected(self):
+        # a point of 0|0 has no coordinate that would carry the count
+        with pytest.raises(DimensionError, match="generator count must be in 0..64, got -1"):
+            LambdaPoint(SuperSpace(0, 0), -1, [])
+
 
 class TestBaseChange:
     def test_identity(self):

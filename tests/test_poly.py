@@ -3,13 +3,13 @@
 The polynomial reference works on plain ``{exponents: Fraction}`` dicts:
 products multiply every pair of terms, powers multiply repeatedly, and
 evaluation raises each value to its exponent.  Taylor coefficients are
-checked against repeated differentiation, skeleton evaluation against plain
-substitution into a superfunction, and superfunction products against signs
-found by sorting index words.
+checked against the expansion of ``P(u + h)`` in fresh variables ``h``,
+skeleton evaluation against plain substitution into a superfunction, and
+superfunction products against signs found by sorting index words.
 """
 
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -205,22 +205,27 @@ class TestHashing:
 
 
 def ref_taylor(poly: PolyCoeff, u, max_k: int, one) -> dict:
-    """``{alpha: D^alpha poly(u) / alpha!}`` by repeated differentiation."""
-    out = {}
-
-    def alphas(nvars, budget):
-        if nvars == 0:
-            yield ()
-            return
-        for first in range(budget + 1):
-            for rest in alphas(nvars - 1, budget - first):
-                yield (first,) + rest
-
-    for alpha in alphas(poly.nvars, max_k):
-        value = poly.diff_multi(alpha).eval(u, one=one) * Fraction(1, prod(factorial(a) for a in alpha))
-        if value:
-            out[alpha] = value
-    return out
+    """``{alpha: D^alpha poly(u) / alpha!}``: the coefficients of ``h^alpha`` in
+    ``poly(u + h)``, expanded in fresh variables ``h`` placed after those of ``u``."""
+    n = poly.nvars
+    shifted = []
+    for a, value in enumerate(u):
+        terms = value.terms if isinstance(value, PolyCoeff) else {(0,) * n: value}
+        h = tuple(int(b == a) for b in range(n))
+        shifted.append(ref_add({e + (0,) * n: c for e, c in terms.items()}, {(0,) * n + h: Fraction(1)}))
+    total: dict = {}
+    for exps, c in poly.terms.items():
+        term = {(0,) * (2 * n): c}
+        for value, e in zip(shifted, exps):
+            term = ref_mul(term, ref_pow(value, 2 * n, e))
+        total = ref_add(total, term)
+    by_alpha: dict = {}
+    for key, c in total.items():
+        if sum(key[n:]) <= max_k:
+            by_alpha.setdefault(key[n:], {})[key[:n]] = c
+    if isinstance(one, PolyCoeff):
+        return {alpha: PolyCoeff(n, terms) for alpha, terms in by_alpha.items()}
+    return {alpha: terms[(0,) * n] for alpha, terms in by_alpha.items()}
 
 
 class TestTaylor:

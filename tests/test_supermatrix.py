@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superpoints import (
+    DimensionError,
     GrassmannElement,
     NotInvertibleError,
     ParityError,
@@ -39,6 +40,11 @@ class TestConstruction:
         with pytest.raises(ParityError):
             SuperMatrix(v, 1, [[GrassmannElement.one(1), GrassmannElement.one(1)],
                                [GrassmannElement.zero(1), GrassmannElement.one(1)]])
+
+    def test_generator_count_out_of_range_rejected(self):
+        # a matrix on 0|0 has no entry that would carry the count
+        with pytest.raises(DimensionError, match="generator count must be in 0..64, got -1"):
+            SuperMatrix(SuperSpace(0, 0), -1, [])
 
     def test_ground_field_matrices_are_block_diagonal(self):
         # over the ground field no nonzero odd entries exist at all
@@ -181,7 +187,7 @@ class TestInversion:
             else:
                 # the pushforward to the ground field is singular, so no
                 # inverse can exist over the algebra either
-                assert not linalg.det(body_matrix(m))
+                assert len(linalg.row_space(dict(enumerate(row)) for row in body_matrix(m))) < v.dim
 
     def test_two_sided_random(self):
         rng = random.Random(8)
