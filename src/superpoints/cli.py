@@ -21,14 +21,24 @@ from .errors import (
     ReconstructionError,
     SchemaError,
 )
-from .grassmann import GrassmannElement, format_terms, gr_add, gr_inv, gr_mul
+from .grassmann import (
+    MAX_GENERATORS,
+    GrassmannElement,
+    _numerators,
+    _product_trie,
+    _sum_of_products,
+    format_terms,
+    gr_inv,
+    mask_of_indices,
+)
 from .jsonio import _expect, _field, _int_list
-from .parser import parse_element, parse_superfunction
+from .parser import max_str_digits, parse_element, parse_superfunction
 from .points import (
     CandidateModule,
     LambdaPoint,
     N_MAX_DEFAULT,
     PointFamily,
+    _offsets,
     check_naturality,
     lift_multilinear,
     reconstruct_multilinear,
@@ -36,6 +46,7 @@ from .points import (
     vbar_module,
     vnil_module,
 )
+from .poly import PolyCoeff
 from .skeleton import cs_structure, skeleton_compose, skeleton_eval
 from .superlinear import SuperSpace
 from .supermatrix import mat_inv, supertrace
@@ -63,7 +74,10 @@ def family_from_json(obj, path: str = "$") -> PointFamily:
     coordinate, where ``vars`` is an ordered list of ``[argument, coordinate]``
     pairs multiplied left to right and ``theta`` is an optional fixed monomial
     of the ambient algebra (absent from algebras that are too small, which is
-    exactly how fixed-algebra artifacts enter).
+    exactly how fixed-algebra artifacts enter).  The terms are one sum of
+    products for the kernel of ``lift_multilinear``: the path of a term is its
+    ``vars`` and then its ``theta``, a constant factor that is zero over fewer
+    than ``max(theta)`` generators.
     """
     domains = tuple(
         jsonio.space_from_json(d, f"{path}.domains[{i}]")
@@ -71,7 +85,10 @@ def family_from_json(obj, path: str = "$") -> PointFamily:
     )
     codomain = jsonio.space_from_json(_field(obj, path, "codomain", dict), f"{path}.codomain")
     n_max = _field(obj, path, "n_max", int, N_MAX_DEFAULT)
-    compiled = []
+    offsets = _offsets(domains)
+    base = sum(space.dim for space in domains)
+    thetas: dict[int, int] = {}  # monomial mask -> factor key
+    entries = []
     for i, output in enumerate(_field(obj, path, "outputs", list)):
         at = f"{path}.outputs[{i}]"
         c = _field(output, at, "out", int)
@@ -80,7 +97,7 @@ def family_from_json(obj, path: str = "$") -> PointFamily:
         for j, term in enumerate(_field(output, at, "terms", list, [])):
             term_at = f"{at}.terms[{j}]"
             coeff = jsonio.fraction_from_json(_field(term, term_at, "coeff", (str, int)))
-            var_list = []
+            keys = []
             for k, pair in enumerate(_field(term, term_at, "vars", list, [])):
                 pair_at = f"{term_at}.vars[{k}]"
                 if len(_int_list(_expect(pair, list, pair_at), pair_at)) != 2:
@@ -90,24 +107,22 @@ def family_from_json(obj, path: str = "$") -> PointFamily:
                     raise ValueError(f"argument index {arg} outside 1..{len(domains)}")
                 if not 1 <= coord <= domains[arg - 1].dim:
                     raise ValueError(f"coordinate index {coord} outside the format of argument {arg}")
-                var_list.append((arg, coord))
+                keys.append(offsets[arg - 1] + coord)
             theta = tuple(_int_list(_field(term, term_at, "theta", list, []), f"{term_at}.theta"))
-            compiled.append((c, coeff, var_list, theta))
+            if theta:
+                if max(theta) > MAX_GENERATORS:
+                    continue  # zero over every algebra
+                keys.append(thetas.setdefault(mask_of_indices(theta), base + len(thetas)))
+            entries.append((keys, c - 1, coeff))
+    trie = _product_trie(entries)
 
     def component(n: int, args: tuple[LambdaPoint, ...]) -> LambdaPoint:
-        coords = [GrassmannElement.zero(n) for _ in range(codomain.dim)]
-        for c, coeff, var_list, theta in compiled:
-            if theta and max(theta) > n:
-                continue
-            value = GrassmannElement.scalar(n, coeff)
-            for arg, coord in var_list:
-                value = gr_mul(value, args[arg - 1].coords[coord - 1])
-                if value.is_zero():
-                    break
-            if theta and not value.is_zero():
-                value = gr_mul(value, GrassmannElement.monomial(n, theta))
-            coords[c - 1] = gr_add(coords[c - 1], value)
-        return LambdaPoint(codomain, n, coords)
+        for x, space in zip(args, domains):
+            if x.space != space or x.n != n:
+                raise DimensionError(f"argument {x.space} over {x.n} generators, expected {space} over {n}")
+        den, factors = _numerators([c.terms for x in args for c in x.coords])
+        factors += [{} if mask >> n else {mask: den} for mask in thetas]
+        return LambdaPoint(codomain, n, _sum_of_products(n, trie, factors, den, codomain.dim))
 
     return PointFamily(domains, codomain, component, n_max)
 
@@ -130,24 +145,37 @@ def candidate_from_json(obj, path: str = "$") -> CandidateModule:
 # -- subcommand handlers --------------------------------------------------------
 
 
+def _show(value, as_json: bool) -> None:
+    """Print a Grassmann element or a superfunction as canonical text or JSON.
+
+    A coefficient with more digits than the interpreter converts to text is
+    refused before anything is printed.
+    """
+    limit = max_str_digits()
+    if limit:
+        big = 10**limit
+        coeffs = [c for v in value.terms.values() for c in (v.terms.values() if isinstance(v, PolyCoeff) else (v,))]
+        if any(abs(c.numerator) >= big or c.denominator >= big for c in coeffs):
+            raise ValueError(f"the result has a coefficient of more than {limit} digits, too long to print")
+    if not as_json:
+        print(value)
+    elif isinstance(value, GrassmannElement):
+        _emit(jsonio.element_to_json(value))
+    else:
+        _emit(jsonio.superfunction_to_json(value))
+
+
 def _cmd_eval(args) -> int:
     text = _read_source(args.file) if args.file else args.expr
     if text is None:
         raise ValueError("an expression or --file is required")
     if args.p is not None or args.q is not None:
         value = parse_superfunction(text, args.p or 0, args.q or 0)
-        if args.json:
-            _emit(jsonio.superfunction_to_json(value))
-        else:
-            print(value)
     else:
         if args.n is None:
             raise ValueError("a context is required: -n for Grassmann mode or -p/-q for superfunctions")
         value = parse_element(text, args.n)
-        if args.json:
-            _emit(jsonio.element_to_json(value))
-        else:
-            print(value)
+    _show(value, args.json)
     return 0
 
 
@@ -157,21 +185,13 @@ def _cmd_inv(args) -> int:
     text = _read_source(args.file) if args.file else args.expr
     if text is None:
         raise ValueError("an expression or --file is required")
-    value = gr_inv(parse_element(text, args.n))
-    if args.json:
-        _emit(jsonio.element_to_json(value))
-    else:
-        print(value)
+    _show(gr_inv(parse_element(text, args.n)), args.json)
     return 0
 
 
 def _cmd_strace(args) -> int:
     matrix = jsonio.matrix_from_json(_load_json(args.file))
-    value = supertrace(matrix)
-    if args.json:
-        _emit(jsonio.element_to_json(value))
-    else:
-        print(value)
+    _show(supertrace(matrix), args.json)
     return 0
 
 

@@ -22,8 +22,9 @@ disjoint from ``ma``, the kernel walks the submasks of the complement of
 ``ma`` instead of scanning every pair, so a dense product visits ``3**n``
 pairs rather than ``4**n``.  Sums of products (matrix entries), base change
 (one product per source monomial, through a per-call table of monomial
-images) and powers and inverses (a series in the nilpotent part, at most
-``n`` products) share the kernel.
+images), powers and inverses (a series in the nilpotent part, at most ``n``
+products) and the lift of a multilinear map (``_sum_of_products``, which
+walks a trie of prefix products) share the kernel.
 
 Validation follows the policy of ``_value``: the public constructors
 ``GrassmannElement(n, terms)`` and ``GrassmannMorphism(src_n, dst_m, images)``
@@ -422,6 +423,76 @@ def _element(n: int, acc: dict[int, int], den: int) -> GrassmannElement:
     return GrassmannElement._make(n, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 
+def _product_trie(entries: Iterable[tuple[Sequence[int], int, Fraction]]) -> tuple[int, int, tuple]:
+    """The sum of products ``coeff * f[k_1] * ... * f[k_j]`` into output ``out``,
+    for the entries ``(path, out, coeff)`` with ``path == (k_1, ..., k_j)``, as a
+    trie ``(den, depth, root)`` for ``_sum_of_products``.
+
+    A node is ``(leaves, children)``: ``leaves`` maps an output to the summed
+    numerators, over ``den``, of the coefficients of the paths that end at the
+    node, and ``children`` maps the next factor key to a node, so paths with a
+    common prefix share its nodes.  ``depth`` is the longest path.
+    """
+    entries = list(entries)
+    den = lcm(*[c.denominator for _, _, c in entries])
+    root: tuple[dict, dict] = ({}, {})
+    depth = 0
+    for path, out, coeff in entries:
+        node = root
+        for key in path:
+            child = node[1].get(key)
+            if child is None:
+                child = node[1][key] = ({}, {})
+            node = child
+        leaves = node[0]
+        leaves[out] = leaves.get(out, 0) + coeff.numerator * (den // coeff.denominator)
+        depth = max(depth, len(path))
+    return den, depth, root
+
+
+def _sum_of_products(
+    n: int, trie: tuple[int, int, tuple], factors: Sequence[dict[int, int]], fden: int, dim: int
+) -> list[GrassmannElement]:
+    """The sums of the trie of ``_product_trie`` at the factors ``f[k]``, one
+    element per output ``0..dim-1``.
+
+    ``factors[k]`` holds the numerators of ``f[k]`` over the denominator
+    ``fden`` shared by all factors.  The walk multiplies each node's prefix
+    product by one factor and stops a branch at the first zero, so a zero
+    factor prunes every path through it.  A path shorter than the trie's depth
+    is padded with powers of ``fden``, so all sums share one denominator and
+    each output term becomes one ``Fraction`` at the end.
+    """
+    den, depth, root = trie
+    pads = [fden ** (depth - level) for level in range(depth + 1)]
+    accs: list[dict[int, int]] = [{} for _ in range(dim)]
+
+    def walk(node: tuple, prod: dict[int, int], level: int) -> None:
+        leaves, children = node
+        if leaves:
+            pad = pads[level]
+            for out, c in leaves.items():
+                acc = accs[out]
+                get = acc.get
+                scale = c * pad
+                for m, v in prod.items():
+                    acc[m] = get(m, 0) + scale * v
+        level += 1
+        for key, child in children.items():
+            right = factors[key]
+            if right:
+                nxt: dict[int, int] = {}
+                _mul_into(nxt, prod, right, n)
+                if len(prod) > 1 and len(right) > 1:
+                    nxt = {m: v for m, v in nxt.items() if v}
+                if nxt:
+                    walk(child, nxt, level)
+
+    walk(root, {0: 1}, 0)
+    total = den * fden**depth
+    return [_element(n, acc, total) for acc in accs]
+
+
 def _matrix_product(
     n: int, rows: Iterable[Iterable[GrassmannElement]], cols: Iterable[Iterable[GrassmannElement]]
 ) -> list[list[GrassmannElement]]:
@@ -557,7 +628,7 @@ class GrassmannMorphism(Value):
     zero) elements of the target algebra; this is validated at construction.
     """
 
-    __slots__ = ("src_n", "dst_m", "images")
+    __slots__ = ("src_n", "dst_m", "images", "_nums")
 
     _key = property(attrgetter("src_n", "dst_m", "images"))
 
@@ -619,12 +690,19 @@ def morphism_apply(phi: GrassmannMorphism, a: GrassmannElement) -> GrassmannElem
     The image of each monomial is the image of the monomial without its top
     generator times the image of that generator, so a table filled during the
     call takes one product per monomial.  The generator images share one
-    denominator ``d``, and the table holds numerators over ``d**degree``.
+    denominator ``d``, and the table holds numerators over ``d**degree``;
+    ``d`` and the images' numerators are cached on ``phi``.
     """
     if a.n != phi.src_n:
         raise DimensionError(f"element over {a.n} generators, morphism expects {phi.src_n}")
     m = phi.dst_m
-    d, gens = _numerators([img.terms for img in phi.images])
+    if not a.terms:
+        return GrassmannElement._make(m, {})
+    nums = phi._nums
+    if nums is None:
+        nums = _numerators([img.terms for img in phi.images])
+        phi._cache("_nums", nums)
+    d, gens = nums
     table: dict[int, dict[int, int]] = {0: {0: 1}}
 
     def image(mask: int) -> dict[int, int]:

@@ -14,9 +14,10 @@ generators, ``x<k>`` the even variables.  Errors carry precise byte offsets.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log10
+from math import comb, lcm, log10
 
 from .errors import ParseError
 from .grassmann import GrassmannElement, sum_terms
@@ -24,11 +25,17 @@ from .poly import PolyCoeff
 from .skeleton import Superfunction
 
 
-#: The most decimal digits, and the highest degree, that the part of a power
-#: which does not vanish may reach.  It is Python's default limit on the
-#: digits of an int converted to text, so a power refused for its digits
-#: could not, cancellation aside, be printed either.
+#: The most decimal digits, the highest degree and the most terms that the
+#: part of a power which does not vanish may reach.  It is Python's default
+#: limit on the digits of an int converted to text, so a power refused for its
+#: digits could not, cancellation aside, be printed either.
 POWER_LIMIT = 4300
+
+
+def max_str_digits() -> int:
+    """The most decimal digits of an int that the interpreter converts to or
+    from text, 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _check_power(value, k: int, pos: int) -> None:
@@ -38,7 +45,9 @@ def _check_power(value, k: int, pos: int) -> None:
     nilpotent and adds a bounded number of binomial terms.  With ``den`` the
     common denominator of the body's coefficients and ``num`` the sum of their
     numerators over it, the body to the ``k`` has coefficients of at most
-    ``k * log10(max(num, den))`` digits and ``k`` times the body's degree.
+    ``k * log10(max(num, den))`` digits, ``k`` times the body's degree ``deg``,
+    and at most ``C(k*deg + p, p)`` terms, the monomials of that degree in the
+    ``p`` variables the body contains.
     """
     part = value if isinstance(value, PolyCoeff) else value.terms.get(0)
     body = part.terms if isinstance(part, PolyCoeff) else {(): part} if part else {}
@@ -46,13 +55,28 @@ def _check_power(value, k: int, pos: int) -> None:
         return
     den = lcm(*[c.denominator for c in body.values()])
     num = sum(abs(c.numerator) * (den // c.denominator) for c in body.values())
-    digits = k * log10(max(num, den))
     degree = k * max(map(sum, body))
-    if digits > POWER_LIMIT or degree > POWER_LIMIT:
-        raise ValueError(
-            f"exponent {k} at offset {pos} is too large: the power would reach about {digits:.0f} digits "
-            f"and degree {degree}, and the limit is {POWER_LIMIT}"
-        )
+    p = sum(map(any, zip(*body)))
+    if k * Fraction(log10(max(num, den))) > POWER_LIMIT:
+        bound = "digits"
+    elif degree > POWER_LIMIT:
+        bound = "in degree"
+    elif comb(degree + p, p) > POWER_LIMIT:
+        bound = "terms"
+    else:
+        return
+    raise ValueError(
+        f"exponent {k} at offset {pos} is too large: the power would exceed {POWER_LIMIT} {bound}"
+    )
+
+
+def _integer(text: str, start: int, end: int) -> int:
+    """The decimal literal ``text[start:end]``; refused with its offset when it
+    has more digits than the interpreter converts."""
+    limit = max_str_digits()
+    if limit and end - start > limit:
+        raise ParseError(f"integer literal of {end - start} digits is longer than the limit of {limit}", start)
+    return int(text[start:end])
 
 
 @dataclass(frozen=True)
@@ -71,20 +95,20 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < size and text[i].isdigit():
+            while i < size and text[i].isdecimal():
                 i += 1
-            num = int(text[start:i])
+            num = _integer(text, start, i)
             if i < size and text[i] == "/":
                 slash = i
                 i += 1
                 dstart = i
-                while i < size and text[i].isdigit():
+                while i < size and text[i].isdecimal():
                     i += 1
                 if dstart == i:
                     raise ParseError("expected digits after '/'", slash + 1)
-                den = int(text[dstart:i])
+                den = _integer(text, dstart, i)
                 if den == 0:
                     raise ParseError("zero denominator", dstart)
                 tokens.append(_Token("NUMBER", Fraction(num, den), start))
@@ -95,11 +119,11 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             i += 1
             dstart = i
-            while i < size and text[i].isdigit():
+            while i < size and text[i].isdecimal():
                 i += 1
             if dstart == i:
                 raise ParseError(f"expected an index after '{ch}'", start)
-            index = int(text[dstart:i])
+            index = _integer(text, dstart, i)
             tokens.append(_Token("GEN" if ch == "t" else "VAR", index, start))
             continue
         if ch in "+-*^()":

@@ -33,6 +33,9 @@ from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
     Parity,
+    _numerators,
+    _product_trie,
+    _sum_of_products,
     body,
     check_generator_count,
     gr_add,
@@ -140,6 +143,13 @@ def lift_multilinear(f: MultilinearMap, args: Sequence[LambdaPoint]) -> LambdaPo
     On a decomposable tuple ``lambda_i (x) v_i`` the value is
     ``lambda_k*...*lambda_1 (x) f(v_1,...,v_k)`` (reversed coordinate order);
     general arguments expand multilinearly over the basis coordinates.
+
+    Each output coordinate is one fused sum of products on integer
+    numerators: the coordinates of all arguments share one denominator, and
+    the walk follows a trie of the map's entries keyed by input index from the
+    last argument to the first, so entries with the same trailing inputs
+    share one prefix product and a zero coordinate prunes every entry through
+    it.  The trie is built once per map and cached on it.
     """
     if len(args) != f.arity:
         raise DimensionError(f"expected {f.arity} arguments, got {len(args)}")
@@ -151,17 +161,26 @@ def lift_multilinear(f: MultilinearMap, args: Sequence[LambdaPoint]) -> LambdaPo
             raise DimensionError(f"argument space {x.space} does not match domain {space}")
         if x.n != n:
             raise DimensionError("arguments live over different generator counts")
-    out = [GrassmannElement._make(n, {})] * f.codomain.dim
-    for (ins, c), coeff in f.coeffs.items():
-        factor = GrassmannElement._make(n, {0: coeff})
-        # reversed order: the last argument's coordinate multiplies first
-        for x, i in zip(reversed(args), reversed(ins)):
-            factor = gr_mul(factor, x.coords[i - 1])
-            if factor.is_zero():
-                break
-        if not factor.is_zero():
-            out[c - 1] = gr_add(out[c - 1], factor)
-    return LambdaPoint._make(f.codomain, n, tuple(out))
+    trie = f._trie
+    if trie is None:
+        offsets = _offsets(f.domains)
+        trie = _product_trie(
+            ([offsets[a] + i for a, i in reversed(list(enumerate(ins)))], c - 1, coeff)
+            for (ins, c), coeff in f.coeffs.items()
+        )
+        f._cache("_trie", trie)
+    fden, factors = _numerators([c.terms for x in args for c in x.coords])
+    return LambdaPoint._make(f.codomain, n, tuple(_sum_of_products(n, trie, factors, fden, f.codomain.dim)))
+
+
+def _offsets(domains: Sequence[SuperSpace]) -> list[int]:
+    """``offsets[a] + i`` is the position of coordinate ``i`` (1-based) of
+    argument ``a`` among the coordinates of all arguments, 0-based."""
+    offsets, total = [], -1
+    for space in domains:
+        offsets.append(total)
+        total += space.dim
+    return offsets
 
 
 # -- point families -----------------------------------------------------------

@@ -40,6 +40,7 @@ from .grassmann import (
     indices_of_mask,
     mask_of_indices,
     odd_part,
+    sum_terms,
 )
 from .points import (
     LambdaPoint,
@@ -397,6 +398,32 @@ class Superfunction(_SparseForm):
         if isinstance(other, Superfunction):
             return superfunction_mul(self, other)
         return self.__rmul__(other)
+
+    def _power(self, exponent: int) -> "Superfunction":
+        """Binomial series ``sum_j C(k, j) b**(k-j) N**j`` in the body ``b`` (the
+        coefficient of the empty odd monomial) and the nilpotent rest ``N``.
+
+        ``N**j`` vanishes for ``j > q``, so the body is raised to one power and
+        the series takes at most ``2q`` more products however large ``k`` is.
+        """
+        body = self.terms.get(0)
+        if body is None or len(self.terms) == 1:
+            return super()._power(exponent)
+        nil = self._new({m: c for m, c in self.terms.items() if m})
+        nil_powers = [self._embed(1)]
+        while len(nil_powers) <= exponent:
+            nxt = nil_powers[-1] * nil
+            if not nxt:
+                break
+            nil_powers.append(nxt)
+        top = len(nil_powers) - 1
+        weight = body ** (exponent - top)  # body ** (exponent - j), from j = top down
+        parts = []
+        for j in range(top, -1, -1):
+            parts.append(nil_powers[j]._scale(comb(exponent, j) * weight))
+            if j:
+                weight = weight * body
+        return sum_terms(parts)
 
     def __repr__(self):
         return f"<Superfunction p={self.p} q={self.q}: {self}>"

@@ -111,10 +111,11 @@ class MultilinearMap(Value):
     ``coeffs`` maps ``(input_indices, output_index)`` to the coefficient of the
     output basis vector in the image of the input basis tuple.  Evenness means
     an entry may only be nonzero when the input parities sum to the output
-    parity mod 2; this is validated at construction.
+    parity mod 2; this is validated at construction.  The slot ``_trie`` caches
+    the entry trie of ``points.lift_multilinear``.
     """
 
-    __slots__ = ("domains", "codomain", "coeffs")
+    __slots__ = ("domains", "codomain", "coeffs", "_trie")
 
     def __init__(
         self,

@@ -1,15 +1,19 @@
 """Command-line interface: subcommands, exit codes, byte-exact documented outputs."""
 
+import contextlib
+import io
 import json
 import random
 import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superpoints import SuperMatrix, SuperSpace, jsonio
-from superpoints.cli import main
-from superpoints.sampling import random_invertible_matrix, random_point
+from superpoints import GrassmannElement, LambdaPoint, SuperMatrix, SuperSpace, jsonio, lift_multilinear
+from superpoints.cli import family_from_json, main
+from superpoints.sampling import random_invertible_matrix, random_multilinear, random_point
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +105,105 @@ class TestPowerLimit:
     def test_power_within_the_limit(self, capsys):
         terms = ["1", "3000*x1"] + [f"{comb(3000, j)}*x1^{j}" for j in range(2, 3000)] + ["x1^3000"]
         assert run_cli(capsys, "eval", "-p", "1", "-q", "1", "(1+x1)^3000") == (0, f"({' + '.join(terms)})\n", "")
+
+    def test_too_many_terms_exits_1_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "-p", "2", "-q", "0", "(1+x1+x2)^1000")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == "exponent 1000 at offset 10 is too large: the power would exceed 4300 terms\n"
+
+    def test_exponent_beyond_float_range(self, capsys):
+        huge = str(10**400)
+        code, out, err = run_cli(capsys, "eval", "-n", "1", f"2^{huge}")
+        assert (code, out) == (1, "") and err.startswith(f"exponent {huge} at offset 2 ")
+        assert run_cli(capsys, "eval", "-n", "1", f"(1+t1)^{huge}") == (0, f"1 + {huge}*t1\n", "")
+
+
+class TestDigitLimit:
+    """Integers longer than the interpreter converts to or from text get the library's own messages."""
+
+    @pytest.mark.parametrize("text, offset", [("\u00b2", 0), ("t\u00b9", 0)])
+    def test_digit_symbols_are_not_digits(self, capsys, text, offset):
+        # str.isdigit accepts superscripts, which int() rejects
+        code, out, err = run_cli(capsys, "eval", "-n", "1", text)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"(at offset {offset})\n") and "int()" not in err
+
+    def test_long_literal_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "-n", "1", "t1 + " + "7" * 4400)
+        assert (code, out) == (2, "")
+        assert err == "integer literal of 4400 digits is longer than the limit of 4300 (at offset 5)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "1", "2^14000*2^14000"],
+        ["-n", "1", "--json", "2^14000*2^14000"],
+        ["-p", "1", "-q", "0", "(2^14000*x1)*2^14000"],
+    ])
+    def test_unprintable_result_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, out) == (1, "")
+        assert err == "the result has a coefficient of more than 4300 digits, too long to print\n"
+
+
+def _rarely(common, rare):
+    """``rare`` one time in eight, else ``common``."""
+    return st.tuples(st.integers(0, 7), common, rare).map(lambda t: t[2] if t[0] == 7 else t[1])
+
+
+@st.composite
+def fuzz_expressions(draw):
+    """Sums of products of powers of atoms and parenthesised sums of atoms,
+    with literals and exponents near and beyond the digit limit."""
+    atoms = _rarely(
+        st.sampled_from(["0", "1", "2", "12", "3/4", "1/0", "t1", "t2", "t3", "t1*t2", "x1", "x2", "x3"]),
+        st.integers(4290, 4310).map(lambda k: "7" * k),
+    )
+    exponents = _rarely(
+        st.integers(0, 30).map(str),
+        st.one_of(
+            st.sampled_from(["4301", "14000", "99999", str(10**20), str(10**400)]),
+            st.integers(4290, 4310).map(lambda k: "9" * k),
+        ),
+    )
+
+    def factor():
+        if draw(st.booleans()):
+            text = draw(atoms)
+        else:
+            text = "(" + " + ".join(draw(st.lists(atoms, min_size=1, max_size=3))) + ")"
+        if draw(st.booleans()):
+            text += "^" + draw(exponents)
+        return text
+
+    def term():
+        return " * ".join(factor() for _ in range(draw(st.integers(1, 3))))
+
+    return " - ".join(term() for _ in range(draw(st.integers(1, 2))))
+
+
+class TestFuzzEval:
+    """No expression makes ``eval`` escape, show Python internals or run long."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 3).map(lambda n: ["-n", str(n)]),
+            st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda pq: ["-p", str(pq[0]), "-q", str(pq[1])]),
+        ),
+        fuzz_expressions(),
+        st.booleans(),
+    )
+    def test_exit_codes_and_messages(self, context, text, as_json):
+        argv = ["eval", *context, text] + (["--json"] if as_json else [])
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 2, text[:200]
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue() and "set_int_max_str_digits" not in err.getvalue()
+        assert bool(out.getvalue()) == (code == 0)
 
 
 class TestInv:
@@ -254,6 +357,49 @@ class TestLiftReconstructCheckNat:
         violations = json.loads(out)
         assert len(violations) == 1
         assert violations[0]["lhs"] != violations[0]["rhs"]
+
+
+class TestFamilyKernel:
+    """A JSON point family runs the sum-of-products kernel of ``lift_multilinear``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 4))
+    def test_reversed_vars_give_the_lift(self, rng, arity, n):
+        domains = tuple(SuperSpace(rng.randint(0, 2), rng.randint(1, 2)) for _ in range(arity))
+        f = random_multilinear(rng, domains, SuperSpace(1, 1))
+        doc = {
+            "domains": [{"p": d.p, "q": d.q} for d in domains],
+            "codomain": {"p": 1, "q": 1},
+            "outputs": [
+                {"out": c, "terms": [
+                    {"coeff": str(coeff), "vars": [[a + 1, i] for a, i in reversed(list(enumerate(ins)))]}
+                    for (ins, out), coeff in sorted(f.coeffs.items()) if out == c
+                ]}
+                for c in (1, 2)
+            ],
+        }
+        args = tuple(random_point(rng, d, n) for d in domains)
+        assert family_from_json(doc)(n, args) == lift_multilinear(f, args)
+
+    def test_theta_factor_vanishes_over_small_algebras(self):
+        doc = {"domains": [{"p": 1, "q": 0}], "codomain": {"p": 1, "q": 0}, "outputs": [
+            {"out": 1, "terms": [{"coeff": "2", "vars": [[1, 1]], "theta": [1, 2]}, {"coeff": "1", "vars": [[1, 1]]}]},
+        ]}
+        family = family_from_json(doc)
+        x = LambdaPoint(SuperSpace(1, 0), 1, [GrassmannElement(1, {0: 3})])
+        assert family(1, (x,)).coords[0] == GrassmannElement(1, {0: 3})
+        y = LambdaPoint(SuperSpace(1, 0), 2, [GrassmannElement(2, {0: 3})])
+        assert family(2, (y,)).coords[0] == GrassmannElement(2, {0: 3, 0b11: 6})
+
+    def test_wrong_parity_output_exits_1(self, capsys, tmp_path):
+        doc = {"domains": [{"p": 0, "q": 1}], "codomain": {"p": 1, "q": 0}, "outputs": [
+            {"out": 1, "terms": [{"coeff": "1", "vars": [[1, 1]]}]},
+        ]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "reconstruct", str(path))
+        assert (code, out) == (1, "")
+        assert err == "coordinate 1 must be even or zero, got t1\n"
 
 
 class TestSkeletonCommands:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpoints import (
     CandidateModule,
@@ -19,11 +21,14 @@ from superpoints import (
     apply_multilinear,
     base_change,
     check_naturality,
+    gr_add,
+    gr_mul,
     decompose_point,
     identity_family,
     injected_constant_family,
     lift_family,
     lift_multilinear,
+    morphism_apply,
     morphism_compose,
     morphism_to_point,
     point_to_morphism,
@@ -176,6 +181,86 @@ class TestLift:
             assert lift_multilinear(f, (scale_point(scalar, x), y)) == scale_point(
                 scalar, lift_multilinear(f, (x, y))
             )
+
+
+def naive_lift(f, args):
+    """Reference lift: per entry, a chain of products over the arguments in
+    reversed order, added to its output coordinate."""
+    n = args[0].n
+    out = [GrassmannElement.zero(n)] * f.codomain.dim
+    for (ins, c), coeff in f.coeffs.items():
+        factor = GrassmannElement.scalar(n, coeff)
+        for x, i in zip(reversed(args), reversed(ins)):
+            factor = gr_mul(factor, x.coords[i - 1])
+        out[c - 1] = gr_add(out[c - 1], factor)
+    return LambdaPoint(f.codomain, n, out)
+
+
+def sparse_point(rng, space, n):
+    """A point with at most one monomial per coordinate and most coordinates zero."""
+    x = random_point(rng, space, n, max_terms=1)
+    coords = [c if rng.random() < 0.4 else GrassmannElement.zero(n) for c in x.coords]
+    return LambdaPoint(space, n, coords)
+
+
+small_formats = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda pq: SuperSpace(*pq))
+
+
+class TestFusedLift:
+    """The fused sum of products agrees with the chain of products it replaces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(small_formats, min_size=1, max_size=3),
+        small_formats,
+        st.integers(0, 6),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.booleans(),
+    )
+    def test_matches_the_chain_of_products(self, rng, domains, codomain, n, density, sparse):
+        f = random_multilinear(rng, tuple(domains), codomain, density)
+        make = sparse_point if sparse else lambda r, s, m: random_point(r, s, m, max_terms=4)
+        args = [make(rng, space, n) for space in domains]
+        want = naive_lift(f, args)
+        for _ in range(2):  # the second call walks the cached trie
+            got = lift_multilinear(f, args)
+            assert got == want and hash(got) == hash(want)
+            assert all(type(c) is Fraction and c for coord in got.coords for c in coord.terms.values())
+
+    def test_shape_errors(self):
+        v = SuperSpace(1, 1)
+        with pytest.raises(DimensionError):
+            lift_multilinear(MultilinearMap((), v, {}), [])
+        f = MultilinearMap.identity(v)
+        with pytest.raises(DimensionError):
+            lift_multilinear(f, [LambdaPoint.zero(v, 1)] * 2)
+        with pytest.raises(DimensionError):
+            lift_multilinear(f, [LambdaPoint.zero(SuperSpace(1, 0), 1)])
+        g = MultilinearMap((v, v), v, {((1, 1), 1): 1})
+        with pytest.raises(DimensionError):
+            lift_multilinear(g, [LambdaPoint.zero(v, 1), LambdaPoint.zero(v, 2)])
+
+    def test_caches_leave_equality_and_hash_alone(self):
+        rng = random.Random(3)
+        v = SuperSpace(1, 2)
+        f = random_multilinear(rng, (v, v), v)
+        g = MultilinearMap(f.domains, f.codomain, f.coeffs)
+        before = hash(f)
+        lift_multilinear(f, [random_point(rng, v, 3), random_point(rng, v, 3)])
+        assert f._trie is not None and g._trie is None
+        assert f == g and g == f and hash(f) == hash(g) == before
+        phi = random_morphism(rng, 3, 4)
+        psi = GrassmannMorphism(phi.src_n, phi.dst_m, phi.images)
+        before = hash(phi)
+        morphism_apply(phi, GrassmannElement.one(3) + theta(3, 1, 2))
+        assert phi._nums is not None and psi._nums is None
+        assert phi == psi and psi == phi and hash(phi) == hash(psi) == before
+
+    def test_zero_maps_to_the_zero_of_the_target(self):
+        phi = random_morphism(random.Random(4), 2, 5)
+        image = morphism_apply(phi, GrassmannElement.zero(2))
+        assert image == GrassmannElement.zero(5) and image.n == 5
 
 
 class TestReconstruct:
