@@ -20,11 +20,13 @@ The sign of a pair is ``(-1) ** (mb & sign_mask(ma)).bit_count()``, where
 of ``ma``.  When the right operand has more terms than there are monomials
 disjoint from ``ma``, the kernel walks the submasks of the complement of
 ``ma`` instead of scanning every pair, so a dense product visits ``3**n``
-pairs rather than ``4**n``.  Sums of products (matrix entries), base change
-(one product per source monomial, through a per-call table of monomial
-images), powers and inverses (a series in the nilpotent part, at most ``n``
-products) and the lift of a multilinear map (``_sum_of_products``, which
-walks a trie of prefix products) share the kernel.
+pairs rather than ``4**n``.  Sums of products (matrix entries), powers and
+inverses (a series in the nilpotent part, at most ``n`` products) share the
+kernel, and so does the one substitution walk ``_sum_of_products``: a
+polynomial with rational coefficients, stored as a trie of prefix products,
+evaluated at Grassmann elements.  Base change of any number of elements
+under one morphism, the lift of a multilinear map and the evaluation of a
+superfunction at a point each run one such walk.
 
 Validation follows the policy of ``_value``: the public constructors
 ``GrassmannElement(n, terms)`` and ``GrassmannMorphism(src_n, dst_m, images)``
@@ -120,12 +122,17 @@ def mask_of_indices(indices: Iterable[int]) -> int:
 
 
 def indices_of_mask(mask: int) -> tuple[int, ...]:
+    return tuple([i + 1 for i in _path(mask)])
+
+
+def _path(mask: int) -> list[int]:
+    """The 0-based positions of the generators of ``mask``, ascending."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        out.append(low.bit_length() - 1)
         mask ^= low
-    return tuple(out)
+    return out
 
 
 class _SparseForm(Value):
@@ -440,13 +447,15 @@ def _product_trie(entries: Iterable[tuple[Sequence[int], int, Fraction]]) -> tup
     for path, out, coeff in entries:
         node = root
         for key in path:
-            child = node[1].get(key)
-            if child is None:
-                child = node[1][key] = ({}, {})
-            node = child
+            children = node[1]
+            node = children.get(key) or children.setdefault(key, ({}, {}))
+        num = coeff.numerator
+        if den != 1:
+            num *= den // coeff.denominator
         leaves = node[0]
-        leaves[out] = leaves.get(out, 0) + coeff.numerator * (den // coeff.denominator)
-        depth = max(depth, len(path))
+        leaves[out] = leaves.get(out, 0) + num
+        if len(path) > depth:
+            depth = len(path)
     return den, depth, root
 
 
@@ -456,27 +465,31 @@ def _sum_of_products(
     """The sums of the trie of ``_product_trie`` at the factors ``f[k]``, one
     element per output ``0..dim-1``.
 
+    This is the one substitution kernel: the lift of a multilinear map, base
+    change (``_substitute``) and ``skeleton.superfunction_eval`` each evaluate
+    a polynomial with rational coefficients at Grassmann elements through it.
     ``factors[k]`` holds the numerators of ``f[k]`` over the denominator
     ``fden`` shared by all factors.  The walk multiplies each node's prefix
     product by one factor and stops a branch at the first zero, so a zero
     factor prunes every path through it.  A path shorter than the trie's depth
     is padded with powers of ``fden``, so all sums share one denominator and
-    each output term becomes one ``Fraction`` at the end.
+    each output term becomes one ``Fraction`` at the end.  The walk keeps an
+    explicit stack: a recursive closure would form a reference cycle that only
+    the cyclic garbage collector frees.
     """
     den, depth, root = trie
     pads = [fden ** (depth - level) for level in range(depth + 1)]
     accs: list[dict[int, int]] = [{} for _ in range(dim)]
-
-    def walk(node: tuple, prod: dict[int, int], level: int) -> None:
-        leaves, children = node
-        if leaves:
-            pad = pads[level]
-            for out, c in leaves.items():
-                acc = accs[out]
-                get = acc.get
-                scale = c * pad
-                for m, v in prod.items():
-                    acc[m] = get(m, 0) + scale * v
+    stack = [(root, {0: 1}, 0)]
+    while stack:
+        (leaves, children), prod, level = stack.pop()
+        pad = pads[level]
+        for out, c in leaves.items():
+            acc = accs[out]
+            get = acc.get
+            scale = c * pad
+            for m, v in prod.items():
+                acc[m] = get(m, 0) + scale * v
         level += 1
         for key, child in children.items():
             right = factors[key]
@@ -486,9 +499,7 @@ def _sum_of_products(
                 if len(prod) > 1 and len(right) > 1:
                     nxt = {m: v for m, v in nxt.items() if v}
                 if nxt:
-                    walk(child, nxt, level)
-
-    walk(root, {0: 1}, 0)
+                    stack.append((child, nxt, level))
     total = den * fden**depth
     return [_element(n, acc, total) for acc in accs]
 
@@ -668,6 +679,8 @@ class GrassmannMorphism(Value):
     def kill_generator(cls, n: int, l: int) -> "GrassmannMorphism":
         """The endomorphism sending ``t_l`` to zero and fixing the other generators."""
         check_generator_count(n)
+        if not 1 <= l <= n:
+            raise DimensionError(f"generator index {l} outside 1..{n}")
         zero = GrassmannElement._make(n, {})
         return cls._make(n, n, tuple(zero if i == l else GrassmannElement.theta(n, i) for i in range(1, n + 1)))
 
@@ -685,54 +698,37 @@ class GrassmannMorphism(Value):
 
 
 def morphism_apply(phi: GrassmannMorphism, a: GrassmannElement) -> GrassmannElement:
-    """Substitute the generator images into ``a``.
-
-    The image of each monomial is the image of the monomial without its top
-    generator times the image of that generator, so a table filled during the
-    call takes one product per monomial.  The generator images share one
-    denominator ``d``, and the table holds numerators over ``d**degree``;
-    ``d`` and the images' numerators are cached on ``phi``.
-    """
+    """Substitute the generator images into ``a``: the one-element case of ``_substitute``."""
     if a.n != phi.src_n:
         raise DimensionError(f"element over {a.n} generators, morphism expects {phi.src_n}")
-    m = phi.dst_m
-    if not a.terms:
-        return GrassmannElement._make(m, {})
+    return _substitute(phi, (a,))[0]
+
+
+def _substitute(phi: GrassmannMorphism, elements: Sequence[GrassmannElement]) -> list[GrassmannElement]:
+    """The images under ``phi`` of elements over ``phi.src_n``, in one walk.
+
+    The elements form one trie for ``_sum_of_products``: the path of a
+    monomial is its generator indices in ascending order, the leaf is the
+    element's position, and the factors are the numerators of the generator
+    images over their one denominator, cached on ``phi``.  Monomials with the
+    same lower generators share one prefix product, also across elements.
+    """
+    if not any(a.terms for a in elements):
+        return [GrassmannElement._make(phi.dst_m, {})] * len(elements)
     nums = phi._nums
     if nums is None:
         nums = _numerators([img.terms for img in phi.images])
         phi._cache("_nums", nums)
     d, gens = nums
-    table: dict[int, dict[int, int]] = {0: {0: 1}}
-
-    def image(mask: int) -> dict[int, int]:
-        img = table.get(mask)
-        if img is None:
-            top = mask.bit_length() - 1
-            rest = image(mask ^ (1 << top))
-            acc: dict[int, int] = {}
-            if rest:
-                _mul_into(acc, rest, gens[top], m)
-            img = table[mask] = {x: v for x, v in acc.items() if v}
-        return img
-
-    den, (coeffs,) = _numerators([a.terms])
-    images = [(c, mask.bit_count(), img) for mask, c in coeffs.items() if (img := image(mask))]
-    top = max((k for _, k, _ in images), default=0)
-    total: dict[int, int] = {}
-    get = total.get
-    for c, k, img in images:
-        scale = c * d ** (top - k)
-        for x, v in img.items():
-            total[x] = get(x, 0) + scale * v
-    return _element(m, total, den * d**top)
+    trie = _product_trie((_path(mask), out, c) for out, a in enumerate(elements) for mask, c in a.terms.items())
+    return _sum_of_products(phi.dst_m, trie, gens, d, len(elements))
 
 
 def morphism_compose(psi: GrassmannMorphism, phi: GrassmannMorphism) -> GrassmannMorphism:
     """The composite ``psi after phi``."""
     if phi.dst_m != psi.src_n:
         raise DimensionError(f"cannot compose {psi.src_n}->{psi.dst_m} after {phi.src_n}->{phi.dst_m}")
-    return GrassmannMorphism._make(phi.src_n, psi.dst_m, tuple(morphism_apply(psi, img) for img in phi.images))
+    return GrassmannMorphism._make(phi.src_n, psi.dst_m, tuple(_substitute(psi, phi.images)))
 
 
 # -- canonical text form ------------------------------------------------------

@@ -21,6 +21,7 @@ Sign table (normative, see also the round-trip tests):
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -35,13 +36,13 @@ from .grassmann import (
     Parity,
     _numerators,
     _product_trie,
+    _substitute,
     _sum_of_products,
     body,
     check_generator_count,
     gr_add,
     gr_mul,
     gr_scale,
-    morphism_apply,
     nil_part,
     parity_of,
 )
@@ -122,10 +123,11 @@ def scale_point(scalar, x: LambdaPoint) -> LambdaPoint:
 
 
 def base_change(phi: GrassmannMorphism, x: LambdaPoint) -> LambdaPoint:
-    """Push a point forward along a Grassmann morphism, coordinate-wise."""
+    """Push a point forward along a Grassmann morphism: one substitution walk
+    over all coordinates."""
     if x.n != phi.src_n:
         raise DimensionError(f"point over {x.n} generators, morphism expects {phi.src_n}")
-    return LambdaPoint._make(x.space, phi.dst_m, tuple(morphism_apply(phi, c) for c in x.coords))
+    return LambdaPoint._make(x.space, phi.dst_m, tuple(_substitute(phi, x.coords)))
 
 
 def decompose_point(x: LambdaPoint) -> tuple[SuperVector, LambdaPoint]:
@@ -309,15 +311,7 @@ def reconstruct_multilinear(family: PointFamily) -> MultilinearMap:
     """
     domains, codomain = family.domains, family.codomain
     coeffs: dict[tuple[tuple[int, ...], int], Fraction] = {}
-
-    def basis_tuples(idx: int, prefix: tuple[int, ...]):
-        if idx == len(domains):
-            yield prefix
-            return
-        for i in domains[idx].indices():
-            yield from basis_tuples(idx + 1, prefix + (i,))
-
-    for ins in basis_tuples(0, ()):
+    for ins in itertools.product(*[space.indices() for space in domains]):
         j = sum(1 for space, i in zip(domains, ins) if space.parity(i))
         if j > family.n_max:
             raise DimensionError(

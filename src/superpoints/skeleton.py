@@ -31,8 +31,12 @@ from .errors import DimensionError, DomainError, ParityError
 from .grassmann import (
     GrassmannElement,
     _SparseForm,
+    _numerators,
     _odd_monomial,
+    _path,
+    _product_trie,
     _sign_mask,
+    _sum_of_products,
     check_generator_count,
     even_part,
     gr_add,
@@ -226,46 +230,44 @@ def _eval_engine(
         {e for table in forms for poly in table.values() for e in poly.terms}, u, max_k, ring_one
     )
 
-    mu_power_cache: dict[tuple[int, ...], dict] = {(0,) * p: {0: ring_one}}
-
-    def mu_power(alpha: tuple[int, ...]) -> dict:
-        cached = mu_power_cache.get(alpha)
-        if cached is not None:
-            return cached
-        a = next(i for i, e in enumerate(alpha) if e)
-        prev = alpha[:a] + (alpha[a] - 1,) + alpha[a + 1 :]
-        value = _gd_mul(mu_power(prev), mu[a])
-        mu_power_cache[alpha] = value
-        return value
-
-    nu_prod_cache: dict[tuple[int, ...], dict] = {(): {0: ring_one}}
-
-    def nu_product(odd_idx: tuple[int, ...]) -> dict:
-        cached = nu_prod_cache.get(odd_idx)
-        if cached is not None:
-            return cached
-        value = _gd_mul(nu_product(odd_idx[:-1]), nu[odd_idx[-1] - 1])
-        nu_prod_cache[odd_idx] = value
-        return value
-
+    mu_powers: dict[tuple[int, ...], dict] = {(0,) * p: {0: ring_one}}
+    nu_products: dict[tuple[int, ...], dict] = {(): {0: ring_one}}
     pending: list[dict] = [dict() for _ in range(skel.codomain.dim)]
     products: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
     for m, table in enumerate(forms):
         negate = reversal_sign(m) < 0
         for (odd_idx, c), poly in table.items():
-            base = nu_product(odd_idx)
+            base = _nu_product(nu_products, nu, odd_idx)
             if not base:
                 continue
             acc = pending[c - 1]
             for alpha, value in _taylor_coefficients(poly, expansions).items():
                 term = products.get((odd_idx, alpha))
                 if term is None:
-                    term = products[(odd_idx, alpha)] = _gd_mul(base, mu_power(alpha))
+                    term = products[(odd_idx, alpha)] = _gd_mul(base, _mu_power(mu_powers, mu, alpha))
                 if negate:
                     value = -value
                 for mask, coeff in term.items():
                     acc.setdefault(mask, []).append((coeff, value))
     return [_gd_sum(acc) for acc in pending]
+
+
+def _mu_power(cache: dict, mu: Sequence[dict], alpha: tuple[int, ...]) -> dict:
+    """``mu**alpha``, from the cached power with the first nonzero exponent one lower."""
+    cached = cache.get(alpha)
+    if cached is None:
+        a = next(i for i, e in enumerate(alpha) if e)
+        prev = alpha[:a] + (alpha[a] - 1,) + alpha[a + 1 :]
+        cached = cache[alpha] = _gd_mul(_mu_power(cache, mu, prev), mu[a])
+    return cached
+
+
+def _nu_product(cache: dict, nu: Sequence[dict], odd_idx: tuple[int, ...]) -> dict:
+    """The ascending product of the odd coordinates ``nu[i - 1]`` for ``i`` in ``odd_idx``."""
+    cached = cache.get(odd_idx)
+    if cached is None:
+        cached = cache[odd_idx] = _gd_mul(_nu_product(cache, nu, odd_idx[:-1]), nu[odd_idx[-1] - 1])
+    return cached
 
 
 def _check_box(skel: Skeleton, u: Sequence[Fraction]):
@@ -438,24 +440,22 @@ def superfunction_mul(f: Superfunction, g: Superfunction) -> Superfunction:
 def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
     """Plain substitution of point coordinates into the odd-power expansion.
 
-    This bypasses the Taylor machinery entirely (polynomials are evaluated
-    directly at the even Grassmann coordinates), which makes it an independent
-    cross-check of skeleton evaluation.
+    This bypasses the Taylor machinery entirely, which makes it an independent
+    cross-check of skeleton evaluation.  It is one walk of the substitution
+    kernel ``_sum_of_products``: the path of a term ``c * x**e * t_I`` is each
+    even coordinate ``a`` repeated ``e[a]`` times, then the odd coordinates of
+    ``I`` in ascending order.
     """
     if x.space != SuperSpace(f.p, f.q):
         raise DimensionError(f"point format {x.space} does not match superdomain {f.p}|{f.q}")
-    n = x.n
-    one = GrassmannElement.one(n)
-    evens = x.coords[: f.p]
-    total = GrassmannElement.zero(n)
-    for mask, poly in sorted(f.terms.items()):
-        value = poly.eval(evens, one=one)
-        for i in indices_of_mask(mask):
-            value = gr_mul(value, x.coords[f.p + i - 1])
-            if value.is_zero():
-                break
-        total = gr_add(total, value)
-    return total
+    p = f.p
+    trie = _product_trie(
+        ([a for a, e in enumerate(exps) for _ in range(e)] + [p + i for i in _path(mask)], 0, coeff)
+        for mask, poly in f.terms.items()
+        for exps, coeff in poly.terms.items()
+    )
+    fden, factors = _numerators([c.terms for c in x.coords])
+    return _sum_of_products(x.n, trie, factors, fden, 1)[0]
 
 
 R_SPACE = SuperSpace(1, 1)
@@ -555,29 +555,25 @@ def _interpolate_grid(
 ) -> PolyCoeff:
     """Exact interpolation on the tensor grid {0..degree}**nvars."""
     nodes = [Fraction(t) for t in range(degree + 1)]
-    weights = _lagrange_weights(nodes)
+    return _interpolate_from(nvars, nodes, _lagrange_weights(nodes), values, ())
 
-    def build(prefix: tuple[Fraction, ...]) -> PolyCoeff:
-        var = len(prefix) + 1
-        if var > nvars:
-            return PolyCoeff.const(nvars, values(prefix))
-        acc = PolyCoeff.zero(nvars)
-        for j, node in enumerate(nodes):
-            sub = build(prefix + (node,))
-            if sub.is_zero():
-                continue
-            basis = PolyCoeff(
-                nvars,
-                {
-                    tuple(i if v == var else 0 for v in range(1, nvars + 1)): w
-                    for i, w in enumerate(weights[j])
-                    if w
-                },
-            )
-            acc = acc + basis * sub
-        return acc
 
-    return build(())
+def _interpolate_from(nvars: int, nodes: list[Fraction], weights, values, prefix: tuple[Fraction, ...]) -> PolyCoeff:
+    """The interpolant of ``values`` in the variables after ``prefix`` on the grid ``nodes``."""
+    var = len(prefix) + 1
+    if var > nvars:
+        return PolyCoeff.const(nvars, values(prefix))
+    acc = PolyCoeff.zero(nvars)
+    for j, node in enumerate(nodes):
+        sub = _interpolate_from(nvars, nodes, weights, values, prefix + (node,))
+        if sub.is_zero():
+            continue
+        basis = PolyCoeff(
+            nvars,
+            {tuple(i if v == var else 0 for v in range(1, nvars + 1)): w for i, w in enumerate(weights[j]) if w},
+        )
+        acc = acc + basis * sub
+    return acc
 
 
 def _universal_point(domain: SuperSpace, u: Sequence[Fraction], pairs: int) -> LambdaPoint:

@@ -22,11 +22,11 @@ from .grassmann import (
     GrassmannMorphism,
     Parity,
     _matrix_product,
+    _substitute,
     body,
     check_generator_count,
     gr_add,
     gr_scale,
-    morphism_apply,
     nil_part,
     parity_of,
 )
@@ -103,8 +103,8 @@ def mat_scale(r, a: SuperMatrix) -> SuperMatrix:
 def mat_base_change(phi: GrassmannMorphism, a: SuperMatrix) -> SuperMatrix:
     if a.n != phi.src_n:
         raise DimensionError(f"matrix over {a.n} generators, morphism expects {phi.src_n}")
-    rows = tuple(tuple(morphism_apply(phi, e) for e in row) for row in a.entries)
-    return SuperMatrix._make(a.space, phi.dst_m, rows)
+    entries = _substitute(phi, [e for row in a.entries for e in row])
+    return SuperMatrix._make(a.space, phi.dst_m, tuple(zip(*[iter(entries)] * len(a.entries))))
 
 
 def supertrace(a: SuperMatrix) -> GrassmannElement:

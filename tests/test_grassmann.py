@@ -246,6 +246,15 @@ class TestMorphisms:
         with pytest.raises(DimensionError, match=f"generator count must be in 0..{MAX_GENERATORS}, got {dst_m}"):
             GrassmannMorphism(0, dst_m, [])
 
+    @pytest.mark.parametrize("l", [0, 4, 5, -1])
+    def test_kill_generator_index_out_of_range_rejected(self, l):
+        with pytest.raises(DimensionError, match=f"generator index {l} outside 1..3"):
+            GrassmannMorphism.kill_generator(3, l)
+
+    def test_kill_generator_kills_one_generator(self):
+        phi = GrassmannMorphism.kill_generator(3, 2)
+        assert phi.images == (theta(3, 1), GrassmannElement.zero(3), theta(3, 3))
+
     def test_identity_neutral(self):
         rng = random.Random(3)
         from superpoints.sampling import random_morphism

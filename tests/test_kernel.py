@@ -4,27 +4,47 @@ The reference works on plain ``{mask: Fraction}`` dicts: signs come from
 counting the inversions of the concatenated index words, powers from
 repeated multiplication, base change from substituting one generator at a
 time.  Every library entry point that runs the kernel is checked against it:
-``gr_mul``, ``**``, ``gr_inv``, ``morphism_apply``, ``morphism_compose`` and
-``mat_mul``.
+``gr_mul``, ``**``, ``gr_inv``, ``morphism_apply``, ``morphism_compose``,
+``base_change``, ``mat_base_change`` and ``mat_mul``.  The kernels also leave
+no reference cycles behind, so that a call never waits on the cyclic garbage
+collector.
 """
 
+import gc
+import random
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpoints import (
+    DimensionError,
     GrassmannElement,
     GrassmannMorphism,
+    LambdaPoint,
     SuperMatrix,
     SuperSpace,
+    Superfunction,
+    base_change,
+    check_supersmooth,
     gr_inv,
     gr_mul,
+    lift_multilinear,
+    mat_base_change,
     mat_mul,
     morphism_apply,
     morphism_compose,
+    reconstruct_multilinear,
+    skeleton_eval,
+    superfunction_eval,
+    superfunction_to_skeleton,
 )
+from superpoints.cli import family_from_json
+from superpoints.points import PointFamily, lift_family
+from superpoints.poly import PolyCoeff
+from superpoints.sampling import random_multilinear, random_point
 from superpoints.grassmann import indices_of_mask
 
 # -- the naive reference -----------------------------------------------------------
@@ -194,6 +214,144 @@ class TestBaseChange:
         psi_images = [img.terms for img in psi.images]
         for got, img in zip(chi.images, phi.images):
             assert_canonical(got, ref_apply(psi_images, img.terms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(morphisms(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2), st.data())
+    def test_point_matches_substitution(self, phi, p, q, data):
+        # zero and nonzero coordinates mixed, the format 0|0 included
+        space = SuperSpace(p, q)
+        coords = [
+            GrassmannElement(phi.src_n, data.draw(terms(phi.src_n, parity=space.parity(i), max_size=6)))
+            for i in space.indices()
+        ]
+        y = base_change(phi, LambdaPoint(space, phi.src_n, coords))
+        assert (y.space, y.n, len(y.coords)) == (space, phi.dst_m, space.dim)
+        images = [img.terms for img in phi.images]
+        for got, c in zip(y.coords, coords):
+            assert_canonical(got, ref_apply(images, c.terms))
+
+    @settings(max_examples=40, deadline=None)
+    @given(morphisms(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2), st.data())
+    def test_matrix_matches_substitution(self, phi, p, q, data):
+        space = SuperSpace(p, q)
+        rows = [
+            [
+                GrassmannElement(phi.src_n, data.draw(terms(phi.src_n, parity=space.parity(i) ^ space.parity(j), max_size=4)))
+                for j in space.indices()
+            ]
+            for i in space.indices()
+        ]
+        b = mat_base_change(phi, SuperMatrix(space, phi.src_n, rows))
+        assert (b.space, b.n) == (space, phi.dst_m)
+        images = [img.terms for img in phi.images]
+        assert len(b.entries) == space.dim
+        for got_row, row in zip(b.entries, rows):
+            assert len(got_row) == space.dim
+            for got, e in zip(got_row, row):
+                assert_canonical(got, ref_apply(images, e.terms))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3), st.data())
+    def test_compose_with_no_source_generators(self, m, n, data):
+        phi = data.draw(morphisms(0, m))
+        psi = data.draw(morphisms(m, n))
+        chi = morphism_compose(psi, phi)
+        assert chi == GrassmannMorphism(0, n, [])
+        c = data.draw(coefficients)
+        assert_canonical(morphism_apply(chi, GrassmannElement.scalar(0, c)), {0: c} if c else {})
+
+    def test_wrong_generator_count_rejected(self):
+        phi = GrassmannMorphism.identity(2)
+        a = GrassmannElement(3, {0b101: 1})
+        with pytest.raises(DimensionError, match="element over 3 generators, morphism expects 2"):
+            morphism_apply(phi, a)
+        with pytest.raises(DimensionError):
+            base_change(phi, LambdaPoint(SuperSpace(1, 0), 3, [a]))
+        with pytest.raises(DimensionError):
+            mat_base_change(phi, SuperMatrix(SuperSpace(1, 0), 3, [[a]]))
+        with pytest.raises(DimensionError):
+            morphism_compose(phi, GrassmannMorphism.identity(3))
+
+
+# -- no reference cycles -----------------------------------------------------------------
+
+
+def unreachable_after(call, times=20) -> int:
+    """The objects that ``times`` calls leave for the cyclic garbage collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def cycle_cases():
+    """One call of each kernel entry point, by name, on small fixed inputs."""
+    rng = random.Random(12)
+    phi = GrassmannMorphism(3, 4, [
+        GrassmannElement(4, {0b0001: 1, 0b1110: Fraction(2, 3)}),
+        GrassmannElement(4, {0b0010: -1}),
+        GrassmannElement(4, {0b1000: 5}),
+    ])
+    psi = GrassmannMorphism(4, 2, [
+        GrassmannElement(2, {0b01: 1}), GrassmannElement(2, {0b10: 3}),
+        GrassmannElement(2, {}), GrassmannElement(2, {0b01: Fraction(1, 2)}),
+    ])
+    a = GrassmannElement(3, {0: 2, 0b011: Fraction(-1, 3), 0b111: 4, 0b100: 1})
+    space = SuperSpace(1, 2)
+    x = random_point(rng, space, 3)
+    zero = GrassmannElement(3, {})
+    matrix = SuperMatrix(space, 3, [
+        [GrassmannElement(3, {0: 1, 0b011: 2}), GrassmannElement(3, {0b001: 1}), zero],
+        [zero, zero, zero],
+        [zero, zero, zero],
+    ])
+    f = random_multilinear(rng, (space, space), SuperSpace(1, 1))
+    args = (x, random_point(rng, space, 3))
+    sf = Superfunction(1, 2, {
+        0: PolyCoeff(1, {(2,): 1, (0,): Fraction(1, 2)}),
+        0b11: PolyCoeff(1, {(1,): -3}),
+        0b01: PolyCoeff(1, {(0,): 1}),
+    })
+    family = family_from_json({"domains": [{"p": 1, "q": 1}], "codomain": {"p": 1, "q": 1}, "outputs": [
+        {"out": 1, "terms": [{"coeff": "2", "vars": [[1, 1], [1, 1]]}, {"coeff": "1", "vars": [[1, 2]], "theta": [1]}]},
+    ]})
+    y = random_point(rng, SuperSpace(1, 1), 3)
+    lifted = lift_family(random_multilinear(rng, (space, space), SuperSpace(1, 1)), n_max=3)
+    identity = PointFamily((SuperSpace(1, 1),), SuperSpace(1, 1), lambda n, xs: xs[0], 2)
+    return {
+        "morphism_apply": lambda: morphism_apply(phi, a),
+        "base_change": lambda: base_change(phi, x),
+        "mat_base_change": lambda: mat_base_change(phi, matrix),
+        "morphism_compose": lambda: morphism_compose(psi, phi),
+        "lift_multilinear": lambda: lift_multilinear(f, args),
+        "superfunction_eval": lambda: superfunction_eval(sf, x),
+        "family_from_json component": lambda: family(3, (y,)),
+        "skeleton_eval": lambda: skeleton_eval(superfunction_to_skeleton(sf), x),
+        "reconstruct_multilinear": lambda: reconstruct_multilinear(lifted),
+        "check_supersmooth": lambda: check_supersmooth(identity, max_degree=2, n_max=2),
+    }
+
+
+CYCLE_CASES = (
+    "morphism_apply", "base_change", "mat_base_change", "morphism_compose", "lift_multilinear",
+    "superfunction_eval", "family_from_json component", "skeleton_eval", "reconstruct_multilinear",
+    "check_supersmooth",
+)
+
+
+class TestNoReferenceCycles:
+    """A recursive closure is a function-cell reference cycle: each call that
+    defines one leaves garbage that only the cyclic collector frees."""
+
+    @pytest.mark.parametrize("name", CYCLE_CASES)
+    def test_calls_leave_no_garbage(self, name):
+        call = cycle_cases()[name]
+        call()  # fill the caches of first use
+        assert unreachable_after(call) == 0
 
 
 # -- supermatrix products ----------------------------------------------------------------

@@ -4,7 +4,9 @@ The polynomial reference works on plain ``{exponents: Fraction}`` dicts:
 products multiply every pair of terms, powers multiply repeatedly, and
 evaluation raises each value to its exponent.  Taylor coefficients are
 checked against the expansion of ``P(u + h)`` in fresh variables ``h``,
-skeleton evaluation against plain substitution into a superfunction, and
+skeleton evaluation against plain substitution into a superfunction,
+plain substitution (``superfunction_eval``) against ``PolyCoeff.eval`` at the
+even coordinates times the odd coordinates in ascending order, and
 superfunction products against signs found by sorting index words.
 """
 
@@ -20,6 +22,8 @@ from superpoints import (
     LambdaPoint,
     SuperSpace,
     Superfunction,
+    gr_add,
+    gr_mul,
     point_to_element,
     skeleton_eval,
     superfunction_eval,
@@ -285,6 +289,23 @@ class TestEvaluation:
         f, x = case
         got = point_to_element(skeleton_eval(superfunction_to_skeleton(f), x))
         assert got == superfunction_eval(f, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(superfunction_cases())
+    def test_superfunction_eval_matches_plain_substitution(self, case):
+        # the reference: each coefficient polynomial at the even coordinates,
+        # then times the odd coordinates of its monomial in ascending order
+        f, x = case
+        one = GrassmannElement.one(x.n)
+        want = GrassmannElement.zero(x.n)
+        for mask, poly in f.terms.items():
+            value = poly.eval(x.coords[: f.p], one=one)
+            for i in indices_of_mask(mask):
+                value = gr_mul(value, x.coords[f.p + i - 1])
+            want = gr_add(want, value)
+        got = superfunction_eval(f, x)
+        assert got == want and hash(got) == hash(want)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=3), st.data())
