@@ -442,20 +442,28 @@ def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
 
     This bypasses the Taylor machinery entirely, which makes it an independent
     cross-check of skeleton evaluation.  It is one walk of the substitution
-    kernel ``_sum_of_products``: the path of a term ``c * x**e * t_I`` is each
-    even coordinate ``a`` repeated ``e[a]`` times, then the odd coordinates of
-    ``I`` in ascending order.
+    kernel ``_sum_of_products``.  The factors are the odd coordinates and, for
+    each exponent ``e > 0`` of an even variable ``a`` among the terms, the
+    power ``x[a]**e`` (``power_tables``: each power from the next lower one,
+    a binomial series of at most ``n`` products).  The path of a term
+    ``c * x**e * t_I`` takes one power per even variable with ``e[a] > 0``,
+    then the odd coordinates of ``I`` in ascending order, so no path is longer
+    than ``p + q`` whatever the exponents.
     """
     if x.space != SuperSpace(f.p, f.q):
         raise DimensionError(f"point format {x.space} does not match superdomain {f.p}|{f.q}")
-    p = f.p
-    trie = _product_trie(
-        ([a for a, e in enumerate(exps) for _ in range(e)] + [p + i for i in _path(mask)], 0, coeff)
-        for mask, poly in f.terms.items()
-        for exps, coeff in poly.terms.items()
-    )
-    fden, factors = _numerators([c.terms for c in x.coords])
-    return _sum_of_products(x.n, trie, factors, fden, 1)[0]
+    p, q = f.p, f.q
+    powers: dict[tuple[int, int], int] = {}
+    entries = []
+    for mask, poly in f.terms.items():
+        odd = _path(mask)
+        for exps, coeff in poly.terms.items():
+            even = [powers.setdefault((a, e), q + len(powers)) for a, e in enumerate(exps) if e]
+            entries.append((even + odd, 0, coeff))
+    monomials = [exps for poly in f.terms.values() for exps in poly.terms]
+    tables = power_tables(x.coords[:p], monomials, GrassmannElement.one(x.n))
+    fden, factors = _numerators([c.terms for c in x.coords[p:]] + [tables[a][e].terms for a, e in powers])
+    return _sum_of_products(x.n, _product_trie(entries), factors, fden, 1)[0]
 
 
 R_SPACE = SuperSpace(1, 1)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superpoints import (
@@ -282,6 +282,33 @@ def superfunction_cases(draw):
     return draw(superfunctions(p, q)), draw(points(p, q, n))
 
 
+# exponents far beyond any path length: each even coordinate has body 0 or +-1,
+# so its power is a binomial series of at most n terms
+WIDE_EXPONENT_CASES = [
+    (
+        Superfunction(
+            1, 1, {0: PolyCoeff(1, {(2**40,): 1, (2**15,): Fraction(1, 2)}), 1: PolyCoeff(1, {(2**15,): 3, (0,): 1})}
+        ),
+        LambdaPoint(
+            SuperSpace(1, 1),
+            3,
+            [GrassmannElement(3, {0: 1, 0b011: 2, 0b110: -1}), GrassmannElement(3, {0b001: 1, 0b100: Fraction(1, 3)})],
+        ),
+    ),
+    (
+        Superfunction(2, 0, {0: PolyCoeff(2, {(2**15, 2**40): -2, (2**40 + 1, 1): 1, (0, 2**16): Fraction(5, 7)})}),
+        LambdaPoint(
+            SuperSpace(2, 0),
+            4,
+            [
+                GrassmannElement(4, {0: -1, 0b0011: Fraction(1, 2), 0b1100: 1}),
+                GrassmannElement(4, {0b0101: 1, 0b1010: -3}),
+            ],
+        ),
+    ),
+]
+
+
 class TestEvaluation:
     @settings(max_examples=80, deadline=None)
     @given(superfunction_cases())
@@ -292,6 +319,8 @@ class TestEvaluation:
 
     @settings(max_examples=80, deadline=None)
     @given(superfunction_cases())
+    @example(WIDE_EXPONENT_CASES[0])
+    @example(WIDE_EXPONENT_CASES[1])
     def test_superfunction_eval_matches_plain_substitution(self, case):
         # the reference: each coefficient polynomial at the even coordinates,
         # then times the odd coordinates of its monomial in ascending order
