@@ -26,7 +26,8 @@ from superpoints.poly import PolyCoeff
 x = PolyCoeff.variable(1, 1)
 
 # A map of the purely even line given by f0(x) = x^2.  Evaluating at a point
-# with a nilpotent part runs a Taylor expansion that terminates on its own:
+# with a nilpotent part substitutes the point's coordinate into x^2, and the
+# nilpotent part ends the expansion on its own:
 # (t + a*t1*t2)^2 = t^2 + 2*t*a*t1*t2 exactly, since (t1*t2)^2 = 0.
 line = SuperSpace(1, 0)
 square = Skeleton(line, line, [{((), 1): x ** 2}])
@@ -42,8 +43,8 @@ print("superfunction:", F)
 print("its skeleton forms:", [dict(t) for t in skel.forms])
 print("round trip:", skeleton_to_superfunction(skel) == F)
 
-# Evaluating the skeleton agrees with plainly substituting coordinates into
-# the expansion -- two very different computations, same exact value.
+# Evaluating the skeleton substitutes the point into the map's coordinate
+# superfunction, so it agrees with substituting into the expansion directly.
 dom = SuperSpace(1, 2)
 pt2 = LambdaPoint(dom, 3, [
     GrassmannElement(3, {0: 2, 0b011: 1}),
@@ -54,9 +55,10 @@ print("skeleton evaluation:", point_to_element(skeleton_eval(skel, pt2)))
 print("direct substitution:", superfunction_eval(F, pt2))
 print()
 
-# Composition by symbolic probes: the composite of (x, c(x) 2-form) with x^2
-# has body x^2 and 2-form coefficient 2*x*c(x) -- the chain rule emerges from
-# evaluation alone.
+# Composition is substitution too: the outer map's coordinate superfunctions
+# are pulled back along the inner map.  The composite of (x, c(x) 2-form) with
+# x^2 has body x^2 and 2-form coefficient 2*x*c(x) -- the chain rule emerges
+# from substitution alone.
 inner = Skeleton(SuperSpace(1, 2), line, [
     {((), 1): x},
     {},

@@ -26,7 +26,7 @@ kernel, and so does the one substitution walk ``_sum_of_products``: a
 polynomial with rational coefficients, stored as a trie of prefix products,
 evaluated at Grassmann elements.  Base change of any number of elements
 under one morphism, the lift of a multilinear map and the evaluation of a
-superfunction at a point each run one such walk.
+skeleton or a superfunction at a point each run one such walk.
 
 Validation follows the policy of ``_value``: the public constructors
 ``GrassmannElement(n, terms)`` and ``GrassmannMorphism(src_n, dst_m, images)``
@@ -466,8 +466,9 @@ def _sum_of_products(
     element per output ``0..dim-1``.
 
     This is the one substitution kernel: the lift of a multilinear map, base
-    change (``_substitute``) and ``skeleton.superfunction_eval`` each evaluate
-    a polynomial with rational coefficients at Grassmann elements through it.
+    change (``_substitute``), ``skeleton.skeleton_eval`` and
+    ``skeleton.superfunction_eval`` each evaluate a polynomial with rational
+    coefficients at Grassmann elements through it.
     ``factors[k]`` holds the numerators of ``f[k]`` over the denominator
     ``fden`` shared by all factors.  The walk multiplies each node's prefix
     product by one factor and stops a branch at the first zero, so a zero

@@ -3,9 +3,14 @@
 A skeleton packs a map into finitely many coefficient maps: for ``k = 0..q``
 an alternating ``k``-form on the odd directions of the domain whose components
 are polynomials in the even variables, taking values in codomain directions of
-parity ``k mod 2``.  Evaluation at a point over a Grassmann algebra is a
-terminating Taylor expansion in the nilpotent part of the point; because the
-coefficients are polynomials with rational coefficients, every value is exact.
+parity ``k mod 2``.  A point over a Grassmann algebra is an algebra morphism
+out of the domain's function algebra, so evaluation at it is substitution of
+its coordinates into the map's coordinate superfunctions, and composition is
+the pullback of one map's coordinate superfunctions along the other.  Both
+run on code the library already has: evaluation is one walk of the
+substitution kernel ``grassmann._sum_of_products``, and composition is
+arithmetic of ``Superfunction``s.  Because the coefficients are polynomials
+with rational coefficients, every value is exact.
 
 Normalization (fixed here, enforced by the round-trip and evaluation tests):
 the ``k``-form evaluated on an ascending tuple of odd directions ``I`` equals
@@ -18,12 +23,11 @@ an algebra morphism into the Grassmann algebra itself.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
-from operator import attrgetter, sub
+from math import comb, prod
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from ._value import Value
@@ -37,6 +41,7 @@ from .grassmann import (
     _product_trie,
     _sign_mask,
     _sum_of_products,
+    body,
     check_generator_count,
     even_part,
     gr_add,
@@ -51,7 +56,6 @@ from .points import (
     N_MAX_DEFAULT,
     PointFamily,
     check_naturality,
-    decompose_point,
     reconstruct_multilinear,
     reversal_sign,
 )
@@ -124,28 +128,10 @@ def identity_skeleton(space: SuperSpace) -> Skeleton:
     return Skeleton._make(space, space, tuple(forms), None)
 
 
-# -- the Taylor engine ----------------------------------------------------------
-#
-# Works uniformly over a coefficient ring: exact rationals for evaluation at a
-# concrete point, polynomials for the symbolic probes used by composition.
-# "Grassmann scratch values" are plain dicts mask -> ring coefficient with the
-# same sign rule as GrassmannElement; a pair is signed by
-# ``(mb & _sign_mask(ma)).bit_count() & 1``, as in the Grassmann kernel.
-#
-# One pass over the terms of a coefficient polynomial P yields all of its
-# Taylor coefficients ``D^alpha P(u) / alpha!`` with ``|alpha| <= max_k``: a
-# term ``c * x^e`` contributes ``c * prod_a C(e_a, alpha_a) * u_a^(e_a - alpha_a)``
-# to every ``alpha <= e``.  The expansion of each exponent tuple, the powers
-# of ``u`` (one table per call) and the products ``nu_I * mu^alpha`` (one per
-# pair ``(I, alpha)``, shared by the codomain entries) are built once per call.
-# With no even nilpotent part only ``alpha = 0`` survives, so ``max_k`` is 0.
-# Sums are not built one addition at a time: the products that meet in one
-# Taylor coefficient or one output monomial are collected and summed at once
-# by the ring's sum-of-products kernel (``poly_dot`` for polynomials, one
-# integer numerator for rationals).
-
-
 def _gd_mul(a: dict, b: dict) -> dict:
+    """The product of two superfunction term maps ``{odd mask: PolyCoeff}``: the
+    pairs that meet at one mask, signed as in the Grassmann kernel, are summed
+    by one ``poly_dot``."""
     pending: dict[int, list] = {}
     for ma, ca in a.items():
         sm = _sign_mask(ma)
@@ -153,189 +139,126 @@ def _gd_mul(a: dict, b: dict) -> dict:
         for mb, cb in b.items():
             if not ma & mb:
                 pending.setdefault(ma | mb, []).append((neg if (mb & sm).bit_count() & 1 else ca, cb))
-    return _gd_sum(pending)
+    return {mask: v for mask, pairs in pending.items() if (v := poly_dot(pairs[0][0].nvars, pairs))}
 
 
-def _gd_sum(pending: dict) -> dict:
-    """``{key: sum(x * y for x, y in pairs)}`` without the zero sums, through
-    the sum-of-products kernel of the coefficient ring."""
-    if not pending:
-        return {}
-    ring = next(iter(pending.values()))[0][0]
-    dot = functools.partial(poly_dot, ring.nvars) if isinstance(ring, PolyCoeff) else _fraction_dot
-    out = {}
-    for key, pairs in pending.items():
-        value = dot(pairs)
-        if value:
-            out[key] = value
-    return out
+def _substitute_point(x: LambdaPoint, p: int, items, dim: int) -> list[GrassmannElement]:
+    """The values at ``x`` of the superfunctions ``sum sign * poly * t_odd``,
+    one per output ``0..dim-1``, for the items ``(odd, out, sign, poly)`` with
+    ``odd`` the 0-based odd positions in ascending order.
 
-
-def _fraction_dot(pairs) -> Fraction:
-    """``sum(x * y for x, y in pairs)`` over one integer numerator."""
-    dens = [x.denominator * y.denominator for x, y in pairs]
-    den = lcm(*dens)
-    return Fraction(sum([x.numerator * y.numerator * (den // d) for (x, y), d in zip(pairs, dens)]), den)
-
-
-def _taylor_expansions(exponents, u: Sequence, max_k: int, ring_one) -> dict:
-    """``{e: [(alpha, C(e, alpha) * u**(e - alpha)), ...]}`` for ``alpha <= e``, ``|alpha| <= max_k``."""
-    shapes = {
-        e: [
-            (alpha, tuple(map(sub, e, alpha)), prod(map(comb, e, alpha)))
-            for alpha in itertools.product(*[range(min(x, max_k) + 1) for x in e])
-            if sum(alpha) <= max_k
-        ]
-        for e in exponents
-    }
-    rests = {rest for shape in shapes.values() for _, rest, _ in shape}
-    tables = power_tables(u, rests, ring_one)
-    values = {rest: monomial_value(tables, rest, ring_one) for rest in rests}
-    return {
-        e: [(alpha, values[rest] * binom) for alpha, rest, binom in shape]
-        for e, shape in shapes.items()
-    }
-
-
-def _taylor_coefficients(poly: PolyCoeff, expansions: dict) -> dict:
-    """``{alpha: D^alpha poly(u) / alpha!}`` without the zeros, from the
-    expansions of ``_taylor_expansions`` at ``u``."""
-    pending: dict[tuple[int, ...], list] = {}
-    for e, coeff in poly.terms.items():
-        for alpha, value in expansions[e]:
-            pending.setdefault(alpha, []).append((value, coeff))
-    return _gd_sum(pending)
-
-
-def _eval_engine(
-    skel: Skeleton,
-    u: Sequence,
-    mu: Sequence[dict],
-    nu: Sequence[dict],
-    n: int,
-    ring_one,
-) -> list[dict]:
-    """Sum over form degrees and even-derivative multi-indices.
-
-    The contribution of the degree-``m`` form on ascending odd directions
-    ``I`` is, for each multi-index ``alpha``, its Taylor coefficient
-    ``D^alpha P(u) / alpha!`` times the reversal sign of the ``m`` odd
-    factors times the ascending product of odd coordinates with the even
-    nilpotent powers ``mu**alpha``.
+    This is one walk of the substitution kernel ``_sum_of_products``.  The
+    factors are the odd coordinates and, for each exponent ``e > 0`` of an
+    even variable ``a`` among the terms, the power ``x[a]**e``
+    (``power_tables``: each power from the next lower one, a binomial series
+    of at most ``n`` products).  The path of a term ``c * x**e * t_odd`` takes
+    the odd coordinates in ascending order, then one power per even variable
+    with ``e[a] > 0``, so no path is longer than ``p + q`` whatever the
+    exponents.  Odd first is the cheaper order: the products of the sparse
+    odd coordinates are shared by all monomials of one odd tuple, and a
+    vanishing one prunes them all.
     """
-    p = skel.domain.p
-    max_k = n // 2 if any(mu) else 0
-    forms = skel.forms[: min(skel.domain.q, n) + 1]
-    expansions = _taylor_expansions(
-        {e for table in forms for poly in table.values() for e in poly.terms}, u, max_k, ring_one
-    )
-
-    mu_powers: dict[tuple[int, ...], dict] = {(0,) * p: {0: ring_one}}
-    nu_products: dict[tuple[int, ...], dict] = {(): {0: ring_one}}
-    pending: list[dict] = [dict() for _ in range(skel.codomain.dim)]
-    products: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
-    for m, table in enumerate(forms):
-        negate = reversal_sign(m) < 0
-        for (odd_idx, c), poly in table.items():
-            base = _nu_product(nu_products, nu, odd_idx)
-            if not base:
-                continue
-            acc = pending[c - 1]
-            for alpha, value in _taylor_coefficients(poly, expansions).items():
-                term = products.get((odd_idx, alpha))
-                if term is None:
-                    term = products[(odd_idx, alpha)] = _gd_mul(base, _mu_power(mu_powers, mu, alpha))
-                if negate:
-                    value = -value
-                for mask, coeff in term.items():
-                    acc.setdefault(mask, []).append((coeff, value))
-    return [_gd_sum(acc) for acc in pending]
-
-
-def _mu_power(cache: dict, mu: Sequence[dict], alpha: tuple[int, ...]) -> dict:
-    """``mu**alpha``, from the cached power with the first nonzero exponent one lower."""
-    cached = cache.get(alpha)
-    if cached is None:
-        a = next(i for i, e in enumerate(alpha) if e)
-        prev = alpha[:a] + (alpha[a] - 1,) + alpha[a + 1 :]
-        cached = cache[alpha] = _gd_mul(_mu_power(cache, mu, prev), mu[a])
-    return cached
-
-
-def _nu_product(cache: dict, nu: Sequence[dict], odd_idx: tuple[int, ...]) -> dict:
-    """The ascending product of the odd coordinates ``nu[i - 1]`` for ``i`` in ``odd_idx``."""
-    cached = cache.get(odd_idx)
-    if cached is None:
-        cached = cache[odd_idx] = _gd_mul(_nu_product(cache, nu, odd_idx[:-1]), nu[odd_idx[-1] - 1])
-    return cached
-
-
-def _check_box(skel: Skeleton, u: Sequence[Fraction]):
-    if skel.dom_box is None:
-        return
-    for a, (value, (lo, hi)) in enumerate(zip(u, skel.dom_box), start=1):
-        if not lo <= value <= hi:
-            raise DomainError(f"body coordinate x{a}={value} outside [{lo}, {hi}]")
+    q = len(x.coords) - p
+    powers: dict[tuple[int, int], int] = {}
+    entries = []
+    monomials = []
+    for odd, out, sign, poly in items:
+        for exps, coeff in poly.terms.items():
+            even = [powers.setdefault((a, e), q + len(powers)) for a, e in enumerate(exps) if e]
+            entries.append((odd + even, out, coeff if sign > 0 else -coeff))
+        monomials += poly.terms
+    tables = power_tables(x.coords[:p], monomials, GrassmannElement.one(x.n))
+    fden, factors = _numerators([c.terms for c in x.coords[p:]] + [tables[a][e].terms for a, e in powers])
+    return _sum_of_products(x.n, _product_trie(entries), factors, fden, dim)
 
 
 def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
     """Evaluate the encoded map at a point; exact and terminating.
 
-    The point decomposes into its rational body, the even nilpotent part and
-    the odd part; the double Taylor sum runs over even derivative order (at
-    most half the generator count, by nilpotency) and odd form degree (at most
-    ``q``).
+    A point is an algebra morphism out of the domain's function algebra, so
+    evaluation is substitution of the point's coordinates into the map's
+    coordinate superfunctions ``sum reversal_sign(k) * P * t_I``: one walk of
+    ``_substitute_point`` for all codomain coordinates.  A form of degree
+    ``k > n`` multiplies ``k`` odd elements over ``n`` generators and is
+    skipped.  The bodies are checked against the domain box first.
     """
     if x.space != skel.domain:
         raise DimensionError(f"point format {x.space} does not match domain {skel.domain}")
-    body_vec, nil = decompose_point(x)
-    u = body_vec.coords[: skel.domain.p]
-    _check_box(skel, u)
-    mu = [dict(nil.coords[a].terms) for a in range(skel.domain.p)]
-    nu = [dict(x.coords[skel.domain.p + b].terms) for b in range(skel.domain.q)]
-    out = _eval_engine(skel, u, mu, nu, x.n, Fraction(1))
-    return LambdaPoint._make(skel.codomain, x.n, tuple(GrassmannElement._make(x.n, d) for d in out))
+    for a, (lo, hi) in enumerate(skel.dom_box or ()):
+        value = body(x.coords[a])
+        if not lo <= value <= hi:
+            raise DomainError(f"body coordinate x{a + 1}={value} outside [{lo}, {hi}]")
+    items = [
+        ([i - 1 for i in odd_idx], c - 1, reversal_sign(k), poly)
+        for k, table in enumerate(skel.forms[: x.n + 1])
+        for (odd_idx, c), poly in table.items()
+    ]
+    out = _substitute_point(x, skel.domain.p, items, skel.codomain.dim)
+    return LambdaPoint._make(skel.codomain, x.n, tuple(out))
+
+
+def _coordinate_superfunctions(skel: Skeleton) -> list[Superfunction]:
+    """``F_c = sum reversal_sign(k) * P * t_I`` over the entries ``(I, c) -> P``."""
+    terms: list[dict] = [dict() for _ in range(skel.codomain.dim)]
+    for k, table in enumerate(skel.forms):
+        for (odd_idx, c), poly in table.items():
+            terms[c - 1][mask_of_indices(odd_idx)] = reversal_sign(k) * poly
+    return [Superfunction._make(skel.domain.p, skel.domain.q, t) for t in terms]
+
+
+def _from_coordinates(
+    domain: SuperSpace, codomain: SuperSpace, coords: Sequence[Superfunction], dom_box: Box | None
+) -> Skeleton:
+    """The skeleton whose coordinate superfunctions are ``coords``: the inverse
+    of ``_coordinate_superfunctions``."""
+    forms: list[dict] = [dict() for _ in range(domain.q + 1)]
+    for c, coord in enumerate(coords, start=1):
+        for mask, poly in coord.terms.items():
+            k = mask.bit_count()
+            forms[k][(indices_of_mask(mask), c)] = reversal_sign(k) * poly
+    return Skeleton._make(domain, codomain, tuple(forms), dom_box)
 
 
 def skeleton_compose(g: Skeleton, f: Skeleton) -> Skeleton:
-    """Skeleton of the composite ``g after f`` by symbolic probe evaluation.
+    """Skeleton of the composite ``g after f``: the pullback along ``f`` of
+    ``g``'s coordinate superfunctions.
 
-    For every ascending tuple ``I`` of odd directions of ``f``'s domain the
-    composite is evaluated at a probe whose even bodies are the polynomial
-    variables themselves and whose odd coordinates are fresh generators at the
-    slots in ``I``.  The coefficient of the full generator monomial, times the
-    reversal sign, is the composite's degree-``|I|`` form at ``I`` -- still a
-    polynomial because every step of the evaluation is polynomial.  Domain
-    boxes are evaluation-time guards, so the composite inherits ``f``'s box.
+    With ``F`` the coordinate superfunctions of ``f``, each entry
+    ``(J, c) -> P`` of ``g`` adds ``reversal_sign(|J|) * P(F_even) * F_J`` to
+    the composite's coordinate ``c``, where ``F_J`` is the ascending product of
+    the odd ``F``s at ``J``.  The powers of the even ``F``s come from
+    ``power_tables`` in the superfunction ring, one value per exponent tuple,
+    and ``P(F_even)`` is summed per odd monomial by one ``poly_dot``.  The
+    forms are read back with the reversal sign.  Domain boxes are
+    evaluation-time guards, so the composite inherits ``f``'s box.
     """
     if f.codomain != g.domain:
         raise DimensionError(f"cannot compose {g.domain} -> {g.codomain} after {f.domain} -> {f.codomain}")
     p, q = f.domain.p, f.domain.q
-    ring_one = PolyCoeff.const(p, 1)
-    ring_zero = PolyCoeff.zero(p)
-    u_sym = [PolyCoeff.variable(p, a) for a in range(1, p + 1)]
-    forms: list[dict] = [dict() for _ in range(q + 1)]
-    for k in range(q + 1):
-        for odd_idx in itertools.combinations(range(1, q + 1), k):
-            n = k
-            mu = [dict() for _ in range(p)]
-            nu = [dict() for _ in range(q)]
-            for slot, i in enumerate(odd_idx):
-                nu[i - 1] = {1 << slot: ring_one}
-            mid = _eval_engine(f, u_sym, mu, nu, n, ring_one)
-            u2 = [mid[a].get(0, ring_zero) for a in range(g.domain.p)]
-            mu2 = [
-                {mask: c for mask, c in mid[a].items() if mask} for a in range(g.domain.p)
-            ]
-            nu2 = [mid[g.domain.p + b] for b in range(g.domain.q)]
-            outv = _eval_engine(g, u2, mu2, nu2, n, ring_one)
-            top = (1 << k) - 1
-            sign = reversal_sign(k)
-            for c in g.codomain.indices():
-                poly = outv[c - 1].get(top)
-                if poly is not None and not poly.is_zero():
-                    forms[k][(odd_idx, c)] = sign * poly
-    return Skeleton._make(f.domain, g.codomain, tuple(forms), f.dom_box)
+    coords = _coordinate_superfunctions(f)
+    even, odd = coords[: g.domain.p], coords[g.domain.p :]
+    one = Superfunction.const(p, q, 1)
+    tables = power_tables(even, [exps for table in g.forms for poly in table.values() for exps in poly.terms], one)
+    monomials: dict[tuple[int, ...], Superfunction] = {}
+    odd_products: dict[tuple[int, ...], Superfunction] = {}
+    parts: list[list[Superfunction]] = [[] for _ in range(g.codomain.dim)]
+    for k, table in enumerate(g.forms):
+        sign = reversal_sign(k)
+        for (odd_idx, c), poly in table.items():
+            pending: dict[int, list] = {}
+            for exps, coeff in poly.terms.items():
+                value = monomials.get(exps)
+                if value is None:
+                    value = monomials[exps] = monomial_value(tables, exps, one)
+                for mask, v in value.terms.items():
+                    pending.setdefault(mask, []).append((v, sign * coeff))
+            combination = Superfunction._make(p, q, {m: s for m, pairs in pending.items() if (s := poly_dot(p, pairs))})
+            factor = odd_products.get(odd_idx)
+            if factor is None:
+                factor = odd_products[odd_idx] = prod([odd[j - 1] for j in odd_idx], start=one)
+            parts[c - 1].append(combination * factor)
+    coords = [sum_terms(part) if part else one._new({}) for part in parts]
+    return _from_coordinates(f.domain, g.codomain, coords, f.dom_box)
 
 
 # -- superfunctions ---------------------------------------------------------------
@@ -438,32 +361,13 @@ def superfunction_mul(f: Superfunction, g: Superfunction) -> Superfunction:
 
 
 def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
-    """Plain substitution of point coordinates into the odd-power expansion.
-
-    This bypasses the Taylor machinery entirely, which makes it an independent
-    cross-check of skeleton evaluation.  It is one walk of the substitution
-    kernel ``_sum_of_products``.  The factors are the odd coordinates and, for
-    each exponent ``e > 0`` of an even variable ``a`` among the terms, the
-    power ``x[a]**e`` (``power_tables``: each power from the next lower one,
-    a binomial series of at most ``n`` products).  The path of a term
-    ``c * x**e * t_I`` takes one power per even variable with ``e[a] > 0``,
-    then the odd coordinates of ``I`` in ascending order, so no path is longer
-    than ``p + q`` whatever the exponents.
-    """
+    """Plain substitution of point coordinates into the odd-power expansion:
+    the one-output case of the walk that ``skeleton_eval`` runs
+    (``_substitute_point``).  ``tests/helpers.py`` keeps an independent
+    reference."""
     if x.space != SuperSpace(f.p, f.q):
         raise DimensionError(f"point format {x.space} does not match superdomain {f.p}|{f.q}")
-    p, q = f.p, f.q
-    powers: dict[tuple[int, int], int] = {}
-    entries = []
-    for mask, poly in f.terms.items():
-        odd = _path(mask)
-        for exps, coeff in poly.terms.items():
-            even = [powers.setdefault((a, e), q + len(powers)) for a, e in enumerate(exps) if e]
-            entries.append((even + odd, 0, coeff))
-    monomials = [exps for poly in f.terms.values() for exps in poly.terms]
-    tables = power_tables(x.coords[:p], monomials, GrassmannElement.one(x.n))
-    fden, factors = _numerators([c.terms for c in x.coords[p:]] + [tables[a][e].terms for a, e in powers])
-    return _sum_of_products(x.n, _product_trie(entries), factors, fden, 1)[0]
+    return _substitute_point(x, f.p, [(_path(mask), 0, 1, poly) for mask, poly in f.terms.items()], 1)[0]
 
 
 R_SPACE = SuperSpace(1, 1)
@@ -482,23 +386,14 @@ def point_to_element(x: LambdaPoint) -> GrassmannElement:
 
 def superfunction_to_skeleton(f: Superfunction) -> Skeleton:
     """The skeleton of a superfunction, seen as a map into the format ``1|1``."""
-    forms: list[dict] = [dict() for _ in range(f.q + 1)]
-    for mask, poly in f.terms.items():
-        odd_idx = indices_of_mask(mask)
-        k = len(odd_idx)
-        c = 1 if k % 2 == 0 else 2
-        forms[k][(odd_idx, c)] = reversal_sign(k) * poly
-    return Skeleton._make(SuperSpace(f.p, f.q), R_SPACE, tuple(forms), None)
+    parts = [f._new({m: c for m, c in f.terms.items() if m.bit_count() & 1 == odd}) for odd in (0, 1)]
+    return _from_coordinates(SuperSpace(f.p, f.q), R_SPACE, parts, None)
 
 
 def skeleton_to_superfunction(skel: Skeleton) -> Superfunction:
     if skel.codomain != R_SPACE:
         raise DimensionError(f"superfunctions target the format 1|1, got {skel.codomain}")
-    terms: dict[int, PolyCoeff] = {}
-    for k, table in enumerate(skel.forms):
-        for (odd_idx, c), poly in table.items():
-            terms[mask_of_indices(odd_idx)] = reversal_sign(k) * poly
-    return Superfunction._make(skel.domain.p, skel.domain.q, terms)
+    return sum_terms(_coordinate_superfunctions(skel))
 
 
 # -- the derived multiplication on the representing space of the function algebra --

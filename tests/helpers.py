@@ -2,7 +2,8 @@
 
 Everything here recomputes results along a different code path than the
 library: signs by explicit sorting instead of bitmask popcounts, map
-evaluation by plain substitution instead of the Taylor engine.
+evaluation by ``PolyCoeff.eval`` and one ``gr_mul`` per odd factor instead of
+the library's substitution walk, and composition by substituting twice.
 """
 
 from __future__ import annotations

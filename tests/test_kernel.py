@@ -37,6 +37,7 @@ from superpoints import (
     morphism_apply,
     morphism_compose,
     reconstruct_multilinear,
+    skeleton_compose,
     skeleton_eval,
     superfunction_eval,
     superfunction_to_skeleton,
@@ -316,6 +317,7 @@ def cycle_cases():
         0b11: PolyCoeff(1, {(1,): -3}),
         0b01: PolyCoeff(1, {(0,): 1}),
     })
+    outer = Superfunction(1, 1, {0: PolyCoeff(1, {(2,): 1}), 0b1: PolyCoeff(1, {(1,): -2})})
     family = family_from_json({"domains": [{"p": 1, "q": 1}], "codomain": {"p": 1, "q": 1}, "outputs": [
         {"out": 1, "terms": [{"coeff": "2", "vars": [[1, 1], [1, 1]]}, {"coeff": "1", "vars": [[1, 2]], "theta": [1]}]},
     ]})
@@ -331,6 +333,7 @@ def cycle_cases():
         "superfunction_eval": lambda: superfunction_eval(sf, x),
         "family_from_json component": lambda: family(3, (y,)),
         "skeleton_eval": lambda: skeleton_eval(superfunction_to_skeleton(sf), x),
+        "skeleton_compose": lambda: skeleton_compose(superfunction_to_skeleton(outer), superfunction_to_skeleton(sf)),
         "reconstruct_multilinear": lambda: reconstruct_multilinear(lifted),
         "check_supersmooth": lambda: check_supersmooth(identity, max_degree=2, n_max=2),
     }
@@ -338,8 +341,8 @@ def cycle_cases():
 
 CYCLE_CASES = (
     "morphism_apply", "base_change", "mat_base_change", "morphism_compose", "lift_multilinear",
-    "superfunction_eval", "family_from_json component", "skeleton_eval", "reconstruct_multilinear",
-    "check_supersmooth",
+    "superfunction_eval", "family_from_json component", "skeleton_eval", "skeleton_compose",
+    "reconstruct_multilinear", "check_supersmooth",
 )
 
 

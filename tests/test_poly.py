@@ -1,10 +1,9 @@
-"""The integer PolyCoeff kernel and the one-pass Taylor engine against naive references.
+"""The integer PolyCoeff kernel and superfunction evaluation against naive references.
 
 The polynomial reference works on plain ``{exponents: Fraction}`` dicts:
 products multiply every pair of terms, powers multiply repeatedly, and
-evaluation raises each value to its exponent.  Taylor coefficients are
-checked against the expansion of ``P(u + h)`` in fresh variables ``h``,
-skeleton evaluation against plain substitution into a superfunction,
+evaluation raises each value to its exponent.  Skeleton evaluation is
+checked against plain substitution into a superfunction,
 plain substitution (``superfunction_eval``) against ``PolyCoeff.eval`` at the
 even coordinates times the odd coordinates in ascending order, and
 superfunction products against signs found by sorting index words.
@@ -33,7 +32,6 @@ from superpoints import (
 from superpoints.grassmann import indices_of_mask
 from superpoints.jsonio import fraction_from_json
 from superpoints.poly import PolyCoeff, poly_dot
-from superpoints.skeleton import _taylor_coefficients, _taylor_expansions
 
 from helpers import sign_by_sorting
 
@@ -203,57 +201,6 @@ class TestHashing:
     def test_variable_count_distinguishes(self):
         assert PolyCoeff.const(1, 2) != PolyCoeff.const(2, 2)
         assert PolyCoeff.zero(1) != PolyCoeff.zero(2)
-
-
-# -- the one-pass Taylor engine --------------------------------------------------------
-
-
-def ref_taylor(poly: PolyCoeff, u, max_k: int, one) -> dict:
-    """``{alpha: D^alpha poly(u) / alpha!}``: the coefficients of ``h^alpha`` in
-    ``poly(u + h)``, expanded in fresh variables ``h`` placed after those of ``u``."""
-    n = poly.nvars
-    shifted = []
-    for a, value in enumerate(u):
-        terms = value.terms if isinstance(value, PolyCoeff) else {(0,) * n: value}
-        h = tuple(int(b == a) for b in range(n))
-        shifted.append(ref_add({e + (0,) * n: c for e, c in terms.items()}, {(0,) * n + h: Fraction(1)}))
-    total: dict = {}
-    for exps, c in poly.terms.items():
-        term = {(0,) * (2 * n): c}
-        for value, e in zip(shifted, exps):
-            term = ref_mul(term, ref_pow(value, 2 * n, e))
-        total = ref_add(total, term)
-    by_alpha: dict = {}
-    for key, c in total.items():
-        if sum(key[n:]) <= max_k:
-            by_alpha.setdefault(key[n:], {})[key[:n]] = c
-    if isinstance(one, PolyCoeff):
-        return {alpha: PolyCoeff(n, terms) for alpha, terms in by_alpha.items()}
-    return {alpha: terms[(0,) * n] for alpha, terms in by_alpha.items()}
-
-
-class TestTaylor:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=3).flatmap(
-        lambda n: st.tuples(st.just(n), poly_terms(n), st.lists(coefficients, min_size=n, max_size=n))),
-        st.integers(min_value=0, max_value=5))
-    def test_rational_point(self, case, max_k):
-        nvars, terms, u = case
-        poly = PolyCoeff(nvars, terms)
-        expansions = _taylor_expansions(poly.terms, u, max_k, Fraction(1))
-        assert _taylor_coefficients(poly, expansions) == ref_taylor(poly, u, max_k, Fraction(1))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=1, max_value=2).flatmap(
-        lambda n: st.tuples(st.just(n), poly_terms(n, max_exp=3), st.lists(poly_terms(n, max_exp=2, max_size=3), min_size=n, max_size=n))),
-        st.integers(min_value=0, max_value=3))
-    def test_polynomial_point(self, case, max_k):
-        nvars, terms, u_terms = case
-        poly = PolyCoeff(nvars, terms)
-        u = [PolyCoeff(nvars, t) for t in u_terms]
-        one = PolyCoeff.const(nvars, 1)
-        expansions = _taylor_expansions(poly.terms, u, max_k, one)
-        assert _taylor_coefficients(poly, expansions) == ref_taylor(poly, u, max_k, one)
 
 
 @st.composite

@@ -82,8 +82,8 @@ class TestEvaluation:
         assert out == expected
 
     def test_substitution_oracle_many_formats(self):
-        # plain substitution of coordinates recomputes the same map without
-        # any Taylor machinery; agreement pins every sign and factorial
+        # the oracle substitutes the coordinates along its own code path;
+        # agreement pins every sign
         rng = random.Random(2)
         for trial in range(25):
             dom = SuperSpace(rng.randint(0, 2), rng.randint(0, 2))
@@ -209,6 +209,36 @@ class TestComposition:
             for n in range(4):
                 pt = random_point(rng, a, n)
                 assert skeleton_eval(left, pt) == skeleton_eval(right, pt)
+
+    def test_substitution_oracle(self):
+        # the composite's value against substituting twice with the oracle,
+        # which shares no code with the skeleton walk or the pullback
+        rng = random.Random(13)
+        formats = [
+            ((3, 4), (3, 4)), ((3, 4), (2, 2)), ((1, 3), (3, 4)), ((2, 4), (3, 1)),
+            ((2, 2), (2, 4)), ((0, 3), (1, 2)), ((2, 0), (1, 3)), ((3, 1), (0, 2)),
+        ]
+        for (a, b), degree in zip(formats, [2, 3] * 4):
+            a, b = SuperSpace(*a), SuperSpace(*b)
+            c = SuperSpace(rng.randint(1, 2), rng.randint(1, 2))
+            f_sm = random_polynomial_supermap(rng, a, b, max_degree=degree, density=0.8)
+            g_sm = random_polynomial_supermap(rng, b, c, max_degree=degree, density=0.8)
+            composite = skeleton_compose(g_sm.skeleton(), f_sm.skeleton())
+            for n in range(5):
+                pt = random_point(rng, a, n)
+                assert skeleton_eval(composite, pt) == g_sm.substitute(f_sm.substitute(pt))
+
+    def test_composite_inherits_inner_box(self):
+        dom = SuperSpace(1, 1)
+        f = Skeleton(dom, dom, [{((), 1): x_poly()}, {((1,), 2): x_poly()}], dom_box=((0, 2),))
+        g = Skeleton(dom, SuperSpace(1, 0), [{((), 1): x_poly() ** 2}, {}])
+        composite = skeleton_compose(g, f)
+        assert composite.dom_box == f.dom_box
+        inside = LambdaPoint(dom, 1, [GrassmannElement.scalar(1, 1), theta(1, 1)])
+        assert skeleton_eval(composite, inside) == skeleton_eval(g, skeleton_eval(f, inside))
+        outside = LambdaPoint(dom, 1, [GrassmannElement.scalar(1, 3), theta(1, 1)])
+        with pytest.raises(DomainError):
+            skeleton_eval(composite, outside)
 
 
 class TestSuperfunctions:
