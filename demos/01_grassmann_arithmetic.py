@@ -44,8 +44,9 @@ print("parity(1 + t1) =", parity_of(1 + t1).value)
 print()
 
 # Body and soul: the constant term and the nilpotent rest.  An element is
-# invertible exactly when its body is nonzero, and the inverse is a finite
-# geometric series because the soul is nilpotent.
+# invertible exactly when its body is nonzero.  The inverse starts from
+# 1/body and adds the terms of one generator at a time: with c = c0 + c1*t_k
+# and b = 1/c0 known, 1/c = b - b*c1*s(b)*t_k, where s negates odd terms.
 c = 2 + t1 * t2 + 4 * (t1 * t3)
 print("body(c)     =", body(c))
 print("soul(c)     =", nil_part(c))

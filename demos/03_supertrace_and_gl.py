@@ -49,8 +49,9 @@ comm = mat_add(mat_mul(a, b), mat_scale(-1, mat_mul(b, a)))
 print("supertrace of [a, b]:", supertrace(comm))
 print()
 
-# Inversion around the body: the soul part is nilpotent, so the geometric
-# series terminates after n steps and the inverse is exact.
+# Inversion from the body up, one generator at a time: with A = A0 + A1*t_k
+# and B = A0^-1 known, A^-1 = B - B*A1*s(B)*t_k, where s negates the odd
+# terms.  After n steps the inverse is exact.
 Ainv = mat_inv(A)
 print("A^-1 =", Ainv)
 print("A * A^-1 == I:", mat_mul(A, Ainv) == SuperMatrix.identity(V, 2))

@@ -20,9 +20,11 @@ The sign of a pair is ``(-1) ** (mb & sign_mask(ma)).bit_count()``, where
 of ``ma``.  When the right operand has more terms than there are monomials
 disjoint from ``ma``, the kernel walks the submasks of the complement of
 ``ma`` instead of scanning every pair, so a dense product visits ``3**n``
-pairs rather than ``4**n``.  Sums of products (matrix entries), powers and
-inverses (a series in the nilpotent part, at most ``n`` products) share the
-kernel, and so does the one substitution walk ``_sum_of_products``: a
+pairs rather than ``4**n``.  Sums of products (matrix entries), powers (a
+binomial series in the nilpotent part, at most ``n`` products) and inverses
+(``_peel_inverse``: one recursion on the last generator for elements and
+supermatrices, two fused products per generator) share the kernel, and so
+does the one substitution walk ``_sum_of_products``: a
 polynomial with rational coefficients, stored as a trie of prefix products,
 evaluated at Grassmann elements.  Base change of any number of elements
 under one morphism, the lift of a multilinear map and the evaluation of a
@@ -505,6 +507,23 @@ def _sum_of_products(
     return [_element(n, acc, total) for acc in accs]
 
 
+def _numerator_products(
+    n: int, rows: Sequence[Sequence[dict[int, int]]], cols: Sequence[Sequence[dict[int, int]]]
+) -> list[list[dict[int, int]]]:
+    """The numerator maps of ``sum_k row[k] * col[k]`` for every row and column."""
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            acc: dict[int, int] = {}
+            for x, y in zip(row, col):
+                if x and y:
+                    _mul_into(acc, x, y, n)
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
 def _matrix_product(
     n: int, rows: Iterable[Iterable[GrassmannElement]], cols: Iterable[Iterable[GrassmannElement]]
 ) -> list[list[GrassmannElement]]:
@@ -516,17 +535,11 @@ def _matrix_product(
     """
     left = [_numerators([e.terms for e in row]) for row in rows]
     right = [_numerators([e.terms for e in col]) for col in cols]
-    out = []
-    for row_den, row in left:
-        out_row = []
-        for col_den, col in right:
-            acc: dict[int, int] = {}
-            for x, y in zip(row, col):
-                if x and y:
-                    _mul_into(acc, x, y, n)
-            out_row.append(_element(n, acc, row_den * col_den))
-        out.append(out_row)
-    return out
+    sums = _numerator_products(n, [row for _, row in left], [col for _, col in right])
+    return [
+        [_element(n, acc, row_den * col_den) for acc, (col_den, _) in zip(accs, right)]
+        for accs, (row_den, _) in zip(sums, left)
+    ]
 
 
 def _nil_series(a: GrassmannElement, weights: list[Fraction]) -> GrassmannElement:
@@ -556,6 +569,59 @@ def _nil_series(a: GrassmannElement, weights: list[Fraction]) -> GrassmannElemen
         for m, v in p.items():
             total[m] = get(m, 0) + scale * v
     return _element(n, total, total_den)
+
+
+def _peel_inverse(
+    n: int, body_inv: Sequence[Sequence[Fraction]], rows: Sequence[Sequence[GrassmannElement]]
+) -> list[list[GrassmannElement]]:
+    """The inverse of the ``d x d`` matrix ``rows`` over ``n`` generators whose
+    body has the rational inverse ``body_inv``, by recursion on the last generator.
+
+    At level ``k`` the matrix over the generators ``t1..tk`` is
+    ``M = M0 + M1*t_k`` with ``M0`` and ``M1`` free of ``t_k``, and
+    ``B = M0^-1`` is the inverse found at level ``k-1``.  Moving ``t_k`` past
+    a monomial of degree ``j`` costs ``(-1)**j``, so ``t_k*e == s(e)*t_k``
+    where ``s`` negates the odd monomials of ``e``.  Hence
+    ``(M0 + M1*t_k) * (B - Y*t_k) == 1 + (M1*s(B) - M0*Y)*t_k`` (the term in
+    ``t_k*t_k`` vanishes), and ``M^-1 = B - (B*M1*s(B))*t_k``.  ``t_k`` is the
+    highest generator at level ``k``, so ``m*t_k`` is the sorted monomial
+    ``m | t_k`` with no sign: the new terms are those of ``-B*M1*s(B)`` with
+    ``t_k`` set, and the terms of ``B`` stay.  A level whose ``M1`` is zero
+    keeps ``B``.
+
+    The two products of a level run on integer numerators over ``k-1``
+    generators: ``P = B*M1`` stays integer, ``s(B)`` is read off the
+    numerators of ``B``, and each new term is one ``Fraction`` over
+    ``den(B)**2 * den(M1)``.  ``B`` is kept as ``Fraction``s from one level to
+    the next, so its denominators stay reduced.
+    """
+    d = len(rows)
+    inv = [[{0: c} if c else {} for c in row] for row in body_inv]
+    # levels[k][i][j]: the coefficient of t_k in entry (i, j), over t1..t_{k-1}
+    levels: dict[int, list[list[dict[int, Fraction]]]] = {}
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            for m, c in e.terms.items():
+                if m:
+                    k = m.bit_length()
+                    grid = levels.get(k) or levels.setdefault(k, [[{} for _ in range(d)] for _ in range(d)])
+                    grid[i][j][m ^ (1 << (k - 1))] = c
+    for k in sorted(levels):
+        top = 1 << (k - 1)
+        den_b, flat = _numerators([e for row in inv for e in row])
+        b = [flat[i : i + d] for i in range(0, d * d, d)]
+        sb = [[{m: -v if m.bit_count() & 1 else v for m, v in e.items()} for e in row] for row in b]
+        den_1, flat = _numerators([e for row in levels[k] for e in row])
+        p = _numerator_products(k - 1, b, [flat[j :: d] for j in range(d)])
+        p = [[{m: v for m, v in e.items() if v} for e in row] for row in p]
+        q = _numerator_products(k - 1, p, list(zip(*sb)))
+        den = den_b * den_b * den_1
+        for q_row, inv_row in zip(q, inv):
+            for acc, entry in zip(q_row, inv_row):
+                for m, v in acc.items():
+                    if v:
+                        entry[m | top] = Fraction(-v, den)
+    return [[GrassmannElement._make(n, e) for e in row] for row in inv]
 
 
 # -- arithmetic -------------------------------------------------------------------
@@ -618,16 +684,21 @@ def odd_part(a: GrassmannElement) -> GrassmannElement:
 
 
 def gr_inv(a: GrassmannElement) -> GrassmannElement:
-    """Inverse of an element with nonzero body.
+    """Inverse of an element with nonzero body, by recursion on the last generator.
 
-    With ``b = body(a)`` and ``c = nil_part(a)`` the inverse is the finite sum
-    ``sum_{k=0..n} (-1)^k c^k / b^(k+1)``; the series is exact because the
-    nilpotent part to the ``n+1``-st power vanishes.
+    The recursion starts from ``1/body(a)``, the inverse over no generators.
+    Over ``t1..tk`` write ``a = a0 + a1*t_k`` with ``a0`` and ``a1`` free of
+    ``t_k``, and let ``b = 1/a0`` be known from the level below.  Then
+    ``1/a = b - (b*a1*s(b))*t_k``, where ``s`` negates the odd terms
+    (``t_k*e == s(e)*t_k``).  ``t_k`` is the highest generator at its level,
+    so appending it to a monomial costs no sign, and each level only adds
+    terms.  This is the ``1x1`` case of ``_peel_inverse``.  The derivation
+    never uses parity, so an inhomogeneous element is inverted the same way.
     """
     b = body(a)
     if not b:
         raise NotInvertibleError("not invertible: zero body")
-    return _nil_series(a, [(-1) ** k / b ** (k + 1) for k in range(a.n + 1)])
+    return _peel_inverse(a.n, [[1 / b]], [[a]])[0][0]
 
 
 # -- morphisms ---------------------------------------------------------------

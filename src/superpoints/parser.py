@@ -54,7 +54,8 @@ def _check_power(body: dict, k: int, pos: int) -> None:
     ``num`` the sum of their numerators over it, the body to the ``k`` has
     coefficients of at most ``k * log10(max(num, den))`` digits, ``k`` times
     the body's degree ``deg``, and at most ``C(k*deg + p, p)`` terms, the
-    monomials of that degree in the ``p`` variables the body contains.
+    monomials of that degree in the ``p`` variables the body contains; the
+    power of a body of one term is one term.
     """
     if not body:
         return
@@ -68,7 +69,7 @@ def _check_power(body: dict, k: int, pos: int) -> None:
         bound = "digits"
     elif degree > POWER_LIMIT:
         bound = "in degree"
-    elif comb(degree + p, p) > POWER_LIMIT:
+    elif len(body) > 1 and comb(degree + p, p) > POWER_LIMIT:
         bound = "terms"
     else:
         return

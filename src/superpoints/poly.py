@@ -16,9 +16,10 @@ width used.  Products of numerators are summed per packed key over the
 common denominator of all pairs, and one ``Fraction`` per output term is
 built at the end, so the canonical form is the same as with ``Fraction``
 arithmetic throughout.  A single product with a one-term operand has
-distinct output monomials and takes a direct ``Fraction`` path.  Evaluation
-keeps one table of powers per variable instead of multiplying by a value
-once per unit of exponent.
+distinct output monomials and takes a direct ``Fraction`` path.  Skeleton
+evaluation raises values to powers through ``power_tables``, which keeps one
+table of powers per variable instead of multiplying by a value once per unit
+of exponent.
 
 The public ``PolyCoeff(nvars, terms)`` checks its input; the results of
 arithmetic are built with ``_make`` without a second check (the validation
@@ -93,24 +94,6 @@ class PolyCoeff(_SparseForm):
             self._check_dims(other)
             return poly_dot(self.nvars, [(self, other)])
         return self.__rmul__(other)
-
-    def eval(self, values: Sequence, one=Fraction(1)):
-        """Evaluate at a value tuple; works for any commutative ring via duck typing.
-
-        ``one`` must be the multiplicative unit of the target ring so that
-        constant terms embed correctly (e.g. a Grassmann unit when evaluating
-        at even Grassmann elements).
-        """
-        if len(values) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(values)}")
-        powers = power_tables(values, self.terms, one)
-        total = None
-        for exps, coeff in self.terms.items():
-            term = monomial_value(powers, exps, one) * coeff
-            total = term if total is None else total + term
-        if total is None:
-            return one * Fraction(0)
-        return total
 
     def __repr__(self):
         return f"<PolyCoeff {self}>"

@@ -22,12 +22,12 @@ from .grassmann import (
     GrassmannMorphism,
     Parity,
     _matrix_product,
+    _peel_inverse,
     _substitute,
     body,
     check_generator_count,
     gr_add,
     gr_scale,
-    nil_part,
     parity_of,
 )
 from .superlinear import SuperSpace, braid_swap, dual_space
@@ -157,26 +157,22 @@ def is_invertible(a: SuperMatrix) -> bool:
 
 
 def mat_inv(a: SuperMatrix) -> SuperMatrix:
-    """Exact inverse via the terminating geometric series around the body.
+    """Exact inverse by recursion on the last generator (``grassmann._peel_inverse``).
 
-    Writing ``A = a0 + c`` with ``a0`` the (block-diagonal) body and ``c`` the
-    nilpotent rest, the inverse is ``a0^-1 * sum_{k=0..n} x^k`` with
-    ``x = -c a0^-1``; truncation at ``k == n`` is exact because each entry of
-    ``x`` is nilpotent and products of more than ``n`` such factors vanish.
+    The recursion starts from the rational inverse of the body, the inverse
+    over no generators.  Writing the matrix over ``t1..tk`` as
+    ``M0 + M1*t_k`` with ``B = M0^-1`` known from level ``k-1``, the inverse
+    is ``B - (B*M1*s(B))*t_k``, where ``s`` negates the odd monomials of every
+    entry (``t_k*e == s(e)*t_k``).  Appending ``t_k``, the highest generator
+    at level ``k``, to a monomial costs no sign, so each level only adds
+    terms.  Each level takes two fused products of ``d x d`` matrices over
+    ``k-1`` generators, and a level whose ``M1`` is zero is skipped.
     """
-    if not is_invertible(a):
-        raise NotInvertibleError("not invertible: singular body block")
-    n = a.n
-    a0_inv = SuperMatrix.from_rational(a.space, n, linalg.inverse(body_matrix(a)))
-    minus_c = SuperMatrix._make(a.space, n, tuple(tuple(-nil_part(e) for e in row) for row in a.entries))
-    x = mat_mul(minus_c, a0_inv)
-    series = power = SuperMatrix.identity(a.space, n)
-    for _ in range(n):
-        power = mat_mul(power, x)
-        if power == SuperMatrix.zero(a.space, n):
-            break
-        series = mat_add(series, power)
-    return mat_mul(a0_inv, series)
+    try:
+        body_inv = linalg.inverse(body_matrix(a))
+    except NotInvertibleError:
+        raise NotInvertibleError("not invertible: singular body block") from None
+    return SuperMatrix._make(a.space, a.n, tuple(map(tuple, _peel_inverse(a.n, body_inv, a.entries))))
 
 
 # -- group sanity checks --------------------------------------------------------

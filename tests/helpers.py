@@ -2,8 +2,11 @@
 
 Everything here recomputes results along a different code path than the
 library: signs by explicit sorting instead of bitmask popcounts, map
-evaluation by ``PolyCoeff.eval`` and one ``gr_mul`` per odd factor instead of
-the library's substitution walk, and composition by substituting twice.
+evaluation by ``poly_eval`` (each term a product of powers) and one
+``gr_mul`` per odd factor instead of the library's substitution walk,
+composition by substituting twice, and inverses by the terminating geometric
+series around the body, on the public products and sums, instead of the
+library's recursion on the last generator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,17 @@ from superpoints import (
     GrassmannElement,
     LambdaPoint,
     Skeleton,
+    SuperMatrix,
     SuperSpace,
+    body,
+    body_matrix,
+    gr_add,
+    gr_mul,
+    gr_scale,
+    linalg,
+    mat_add,
+    mat_mul,
+    nil_part,
     reversal_sign,
 )
 from superpoints.grassmann import indices_of_mask
@@ -59,6 +72,25 @@ def mul_reference(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     return GrassmannElement(a.n, terms)
 
 
+def poly_eval(poly: PolyCoeff, values, one=Fraction(1)):
+    """``poly`` at a value tuple, term by term: ``coeff * prod(v ** e)``.
+
+    Works for any commutative ring by duck typing; ``one`` is the unit of the
+    ring, so that a constant term embeds in it (a Grassmann unit when the
+    values are even Grassmann elements).
+    """
+    if len(values) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} values, got {len(values)}")
+    total = one * Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = one
+        for v, e in zip(values, exps):
+            if e:
+                term = term * v**e
+        total = total + term * coeff
+    return total
+
+
 class PolynomialSupermap:
     """A map given per output coordinate as polynomials times odd monomials.
 
@@ -95,7 +127,7 @@ class PolynomialSupermap:
         evens = x.coords[: self.domain.p]
         out = [GrassmannElement.zero(n) for _ in range(self.codomain.dim)]
         for (mask, c), poly in self.terms.items():
-            value = poly.eval(evens, one=one)
+            value = poly_eval(poly, evens, one=one)
             for i in indices_of_mask(mask):
                 value = value * x.coords[self.domain.p + i - 1]
                 if value.is_zero():
@@ -120,3 +152,29 @@ def random_polynomial_supermap(rng, domain: SuperSpace, codomain: SuperSpace,
             if not poly.is_zero():
                 terms[(mask, c)] = poly
     return PolynomialSupermap(domain, codomain, terms)
+
+
+def series_inverse(a: GrassmannElement) -> GrassmannElement:
+    """``sum_{k=0..n} (-1)^k c^k / b^(k+1)`` with ``b`` the body and ``c`` the
+    nilpotent part: exact, because ``c^(n+1)`` vanishes."""
+    b, c = body(a), nil_part(a)
+    total, power = GrassmannElement.zero(a.n), GrassmannElement.one(a.n)
+    for k in range(a.n + 1):
+        total = gr_add(total, gr_scale(Fraction((-1) ** k) / b ** (k + 1), power))
+        power = gr_mul(power, c)
+    return total
+
+
+def series_matrix_inverse(a: SuperMatrix) -> SuperMatrix:
+    """``a0^-1 * sum_{k=0..n} x^k`` with ``a0`` the body and ``x = -c * a0^-1``
+    for the nilpotent rest ``c``: exact, because a product of more than ``n``
+    matrices with nilpotent entries vanishes."""
+    n = a.n
+    a0_inv = SuperMatrix.from_rational(a.space, n, linalg.inverse(body_matrix(a)))
+    minus_c = SuperMatrix(a.space, n, [[gr_scale(-1, nil_part(e)) for e in row] for row in a.entries])
+    x = mat_mul(minus_c, a0_inv)
+    series = power = SuperMatrix.identity(a.space, n)
+    for _ in range(n):
+        power = mat_mul(power, x)
+        series = mat_add(series, power)
+    return mat_mul(a0_inv, series)

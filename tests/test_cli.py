@@ -113,6 +113,22 @@ class TestPowerLimit:
         assert (code, out) == (1, "")
         assert err == "exponent 1000 at offset 10 is too large: the power would exceed 4300 terms\n"
 
+    def test_power_of_one_term_body_is_one_term(self, capsys):
+        start = time.perf_counter()
+        for text in ("(x1*x2)^100", "x1^100*x2^100"):
+            assert run_cli(capsys, "eval", "-p", "2", "-q", "0", text) == (0, "x1^100*x2^100\n", "")
+        assert run_cli(capsys, "eval", "-p", "2", "-q", "1", "(x1*x2 + t1)^100") == (
+            0, "x1^100*x2^100 + 100*x1^99*x2^99*t1\n", "",
+        )
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("(x1*x2)^3000", "exponent 3000 at offset 8 is too large: the power would exceed 4300 in degree\n"),
+        ("(3*x1*x2)^9100", "exponent 9100 at offset 10 is too large: the power would exceed 4300 digits\n"),
+    ])
+    def test_one_term_body_keeps_degree_and_digit_bounds(self, capsys, text, message):
+        assert run_cli(capsys, "eval", "-p", "2", "-q", "0", text) == (1, "", message)
+
     def test_exponent_beyond_float_range(self, capsys):
         huge = str(10**400)
         code, out, err = run_cli(capsys, "eval", "-n", "1", f"2^{huge}")

@@ -33,6 +33,7 @@ from superpoints import (
     gr_mul,
     lift_multilinear,
     mat_base_change,
+    mat_inv,
     mat_mul,
     morphism_apply,
     morphism_compose,
@@ -324,6 +325,11 @@ def cycle_cases():
     y = random_point(rng, SuperSpace(1, 1), 3)
     lifted = lift_family(random_multilinear(rng, (space, space), SuperSpace(1, 1)), n_max=3)
     identity = PointFamily((SuperSpace(1, 1),), SuperSpace(1, 1), lambda n, xs: xs[0], 2)
+    inverse_input = SuperMatrix(space, 3, [
+        [GrassmannElement(3, {0: 1, 0b011: 2}), GrassmannElement(3, {0b001: 1}), GrassmannElement(3, {0b100: 3})],
+        [GrassmannElement(3, {0b010: -1}), GrassmannElement(3, {0: 2, 0b101: 1}), GrassmannElement(3, {0b110: 1})],
+        [GrassmannElement(3, {0b111: 1}), GrassmannElement(3, {0: 1}), GrassmannElement(3, {0: Fraction(1, 2)})],
+    ])
     return {
         "morphism_apply": lambda: morphism_apply(phi, a),
         "base_change": lambda: base_change(phi, x),
@@ -336,13 +342,15 @@ def cycle_cases():
         "skeleton_compose": lambda: skeleton_compose(superfunction_to_skeleton(outer), superfunction_to_skeleton(sf)),
         "reconstruct_multilinear": lambda: reconstruct_multilinear(lifted),
         "check_supersmooth": lambda: check_supersmooth(identity, max_degree=2, n_max=2),
+        "gr_inv": lambda: gr_inv(a),
+        "mat_inv": lambda: mat_inv(inverse_input),
     }
 
 
 CYCLE_CASES = (
     "morphism_apply", "base_change", "mat_base_change", "morphism_compose", "lift_multilinear",
     "superfunction_eval", "family_from_json component", "skeleton_eval", "skeleton_compose",
-    "reconstruct_multilinear", "check_supersmooth",
+    "reconstruct_multilinear", "check_supersmooth", "gr_inv", "mat_inv",
 )
 
 
