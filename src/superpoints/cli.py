@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from . import jsonio
 from .errors import (
@@ -32,7 +33,7 @@ from .grassmann import (
     mask_of_indices,
 )
 from .jsonio import _expect, _field, _int_list
-from .parser import max_str_digits, parse_element, parse_superfunction
+from .parser import POWER_LIMIT, max_str_digits, parse_element, parse_superfunction
 from .points import (
     CandidateModule,
     LambdaPoint,
@@ -211,6 +212,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     family = family_from_json(_load_json(args.file))
+    if prod(space.dim for space in family.domains) > POWER_LIMIT:
+        raise ValueError(f"reconstruction would probe more than {POWER_LIMIT} tuples of basis vectors")
     _emit(jsonio.multilinear_to_json(reconstruct_multilinear(family)))
     return 0
 
@@ -253,6 +256,8 @@ def _cmd_superrep_check(args) -> int:
             raise ValueError("--builtin requires -p and -q")
         space = SuperSpace(args.p, args.q)
         n_max = args.n if args.n is not None else N_MAX_DEFAULT
+        if n_max >= 0 and space.dim * 2 ** min(n_max, POWER_LIMIT) > POWER_LIMIT:
+            raise ValueError(f"{space} over {n_max} generators has more than {POWER_LIMIT} ambient rows")
         builder = vbar_module if args.builtin == "vbar" else vnil_module
         candidate = builder(space, n_max)
     else:

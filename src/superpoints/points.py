@@ -462,8 +462,11 @@ def superrep_check(candidate: CandidateModule) -> SuperrepVerdict:
     over one generator whose pivot has mask 1 vanish on the body and are a
     basis of that map's kernel.  They and the echelon rows of the ground value
     are the columns of the embedding.  A basis point outside the ambient space
-    or over the wrong number of generators raises ``DimensionError``.
+    or over the wrong number of generators raises ``DimensionError``, and a
+    negative ``n_max`` raises ``ValueError``.
     """
+    if candidate.n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {candidate.n_max}")
 
     @functools.cache
     def span(n: int) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._value import Value
 from .errors import DimensionError, DomainError, ParityError
@@ -453,30 +453,42 @@ def _lagrange_weights(nodes: Sequence[Fraction]) -> list[list[Fraction]]:
     return rows
 
 
-def _interpolate_grid(
-    nvars: int, degree: int, values: Callable[[tuple[Fraction, ...]], Fraction]
+def _interpolate(
+    p: int, weights: Sequence[Sequence[Fraction]], values: Mapping[tuple[int, ...], Fraction]
 ) -> PolyCoeff:
-    """Exact interpolation on the tensor grid {0..degree}**nvars."""
-    nodes = [Fraction(t) for t in range(degree + 1)]
-    return _interpolate_from(nvars, nodes, _lagrange_weights(nodes), values, ())
+    """The interpolant of ``values``, keyed by node index tuples of the tensor grid: the Lagrange
+    rows ``weights`` turn the node index of one variable at a time into its exponent."""
+    for a in range(p):
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for j, value in values.items():
+            for i, w in enumerate(weights[j[a]]):
+                if w:
+                    key = j[:a] + (i,) + j[a + 1 :]
+                    acc[key] = acc.get(key, 0) + w * value
+        values = acc
+    return PolyCoeff._make(p, {e: c for e, c in values.items() if c})
 
 
-def _interpolate_from(nvars: int, nodes: list[Fraction], weights, values, prefix: tuple[Fraction, ...]) -> PolyCoeff:
-    """The interpolant of ``values`` in the variables after ``prefix`` on the grid ``nodes``."""
-    var = len(prefix) + 1
-    if var > nvars:
-        return PolyCoeff.const(nvars, values(prefix))
-    acc = PolyCoeff.zero(nvars)
-    for j, node in enumerate(nodes):
-        sub = _interpolate_from(nvars, nodes, weights, values, prefix + (node,))
-        if sub.is_zero():
-            continue
-        basis = PolyCoeff(
-            nvars,
-            {tuple(i if v == var else 0 for v in range(1, nvars + 1)): w for i, w in enumerate(weights[j]) if w},
-        )
-        acc = acc + basis * sub
-    return acc
+def _probe_forms(family: PointFamily, max_degree: int) -> list[dict]:
+    """Gate 1: candidate skeleton forms from one probe per node of the body grid
+    ``{0..max_degree}**p``, over Λ_q with the generators ``t1..tq`` as odd
+    coordinates.  The coefficient of ``t_I`` in output coordinate ``c`` is
+    ``reversal_sign(|I|)`` times the entry ``(I, c)`` at that body."""
+    domain = family.domains[0]
+    q = domain.q
+    odd = [GrassmannElement.theta(q, b) for b in range(1, q + 1)]
+    table: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    for j in itertools.product(range(max_degree + 1), repeat=domain.p):
+        x = LambdaPoint(domain, q, [GrassmannElement.scalar(q, a) for a in j] + odd)
+        for c, coord in enumerate(family(q, (x,)).coords, start=1):
+            for mask, coeff in coord.terms.items():
+                table.setdefault((mask, c), {})[j] = coeff
+    weights = _lagrange_weights([Fraction(t) for t in range(max_degree + 1)])
+    forms: list[dict] = [dict() for _ in range(q + 1)]
+    for (mask, c), values in table.items():
+        k = mask.bit_count()
+        forms[k][(indices_of_mask(mask), c)] = reversal_sign(k) * _interpolate(domain.p, weights, values)
+    return forms
 
 
 def _universal_point(domain: SuperSpace, u: Sequence[Fraction], pairs: int) -> LambdaPoint:
@@ -511,19 +523,22 @@ def check_supersmooth(
 ) -> SupersmoothVerdict:
     """Decide whether a unary point family is the evaluation of a skeleton.
 
-    Gate 1 interpolates a candidate skeleton from probes on the body grid
-    ``{0..max_degree}**p``.  Gate 2 compares the family with the candidate at
-    the universal point over ``N = 2*p*(n_max-1) + q`` generators (see
-    ``_universal_point``; ``N`` can exceed ``n_max``) for every grid body and
-    the closure bodies ``(-1/2, ...)`` and ``(max_degree+1, ...)``.  Gate 3
-    checks naturality under a grid of morphisms between the algebras on at
-    most ``n_max`` generators, on points drawn with ``seed``.
+    Gate 1 calls the family once per node of the body grid
+    ``{0..max_degree}**p``, at the point over Λ_q whose odd coordinates are
+    the generators ``t1..tq``, and interpolates each odd coefficient of each
+    output coordinate into a candidate skeleton.  Gate 2 compares the family
+    with the candidate at the universal point over ``N = 2*p*(n_max-1) + q``
+    generators (see ``_universal_point``; ``N`` can exceed ``n_max``) for
+    every grid body and the closure bodies ``(-1/2, ...)`` and
+    ``(max_degree+1, ...)``.  Gate 3 checks naturality under a grid of
+    morphisms between the algebras on at most ``n_max`` generators, on points
+    drawn with ``seed``.
 
     A ``True`` verdict carries the candidate.  It certifies naturality on that
     grid and, for a natural family, agreement at every point over at most
     ``n_max`` generators whose body is a node.  Other bodies rest on the
     assumption that the components have degree at most ``max_degree`` in the
-    body.
+    body.  A negative ``max_degree`` or ``n_max`` raises ``ValueError``.
     """
     from .sampling import random_point, standard_morphisms
 
@@ -535,30 +550,13 @@ def check_supersmooth(
     codomain = family.codomain
     if n_max is None:
         n_max = min(family.n_max, N_MAX_DEFAULT)
+    if max_degree < 0 or n_max < 0:
+        raise ValueError(f"max_degree and n_max must be non-negative, got {max_degree} and {n_max}")
     diagnostics: list[str] = []
-    p, q = domain.p, domain.q
+    p = domain.p
 
-    # 1. candidate skeleton from probes, one interpolation per odd tuple
-    forms: list[dict] = [dict() for _ in range(q + 1)]
-    for k in range(q + 1):
-        for odd_idx in itertools.combinations(range(1, q + 1), k):
-            sign = reversal_sign(k)
-            top = (1 << k) - 1
-
-            def probe(u: tuple[Fraction, ...], c: int) -> Fraction:
-                coords = [GrassmannElement.scalar(k, v) for v in u]
-                coords += [GrassmannElement.zero(k) for _ in range(q)]
-                for slot, i in enumerate(odd_idx):
-                    coords[p + i - 1] = GrassmannElement.theta(k, slot + 1)
-                value = family(k, (LambdaPoint(domain, k, coords),))
-                return value.coords[c - 1].terms.get(top, Fraction(0))
-
-            for c in codomain.indices():
-                if codomain.parity(c) != k % 2:
-                    continue
-                poly = _interpolate_grid(p, max_degree, lambda u, c=c: sign * probe(u, c))
-                if not poly.is_zero():
-                    forms[k][(odd_idx, c)] = poly
+    # 1. candidate skeleton from one probe per body node
+    forms = _probe_forms(family, max_degree)
     try:
         candidate = Skeleton(domain, codomain, forms)
     except (ParityError, DimensionError) as exc:

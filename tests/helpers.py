@@ -4,9 +4,12 @@ Everything here recomputes results along a different code path than the
 library: signs by explicit sorting instead of bitmask popcounts, map
 evaluation by ``poly_eval`` (each term a product of powers) and one
 ``gr_mul`` per odd factor instead of the library's substitution walk,
-composition by substituting twice, and inverses by the terminating geometric
+composition by substituting twice, inverses by the terminating geometric
 series around the body, on the public products and sums, instead of the
-library's recursion on the last generator.
+library's recursion on the last generator, and the candidate skeleton of
+``check_supersmooth`` by one probe per odd tuple, codomain coordinate and body
+node, interpolated as products of Lagrange basis polynomials, instead of one
+probe per body node.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from superpoints import (
     GrassmannElement,
     LambdaPoint,
+    PointFamily,
     Skeleton,
     SuperMatrix,
     SuperSpace,
@@ -178,3 +182,45 @@ def series_matrix_inverse(a: SuperMatrix) -> SuperMatrix:
         power = mat_mul(power, x)
         series = mat_add(series, power)
     return mat_mul(a0_inv, series)
+
+
+def reference_candidate(family: PointFamily, max_degree: int) -> Skeleton:
+    """The candidate skeleton of a unary family on the body grid ``{0..max_degree}**p``.
+
+    For each ascending odd tuple ``I`` of length ``k``, codomain coordinate
+    ``c`` of parity ``k mod 2`` and grid node ``u``, the family is called over
+    ``k`` generators at the point with body ``u``, ``t1..tk`` in the odd
+    directions ``I`` and zero in the others; the coefficient of ``t1*...*tk``
+    in coordinate ``c`` times ``reversal_sign(k)`` weights the product of the
+    Lagrange basis polynomials of ``u``.
+    """
+    (domain,), codomain = family.domains, family.codomain
+    p, q = domain.p, domain.q
+    nodes = range(max_degree + 1)
+
+    def basis(a: int, j: int) -> PolyCoeff:
+        x = PolyCoeff.variable(p, a)
+        out = PolyCoeff.const(p, 1)
+        for other in nodes:
+            if other != j:
+                out = out * (x - other) * Fraction(1, j - other)
+        return out
+
+    forms: list[dict] = [dict() for _ in range(q + 1)]
+    for k in range(q + 1):
+        for odd_idx in itertools.combinations(range(1, q + 1), k):
+            for c in codomain.indices():
+                if codomain.parity(c) != k % 2:
+                    continue
+                poly = PolyCoeff.zero(p)
+                for u in itertools.product(nodes, repeat=p):
+                    coords = [GrassmannElement.scalar(k, v) for v in u] + [GrassmannElement.zero(k)] * q
+                    for slot, i in enumerate(odd_idx, start=1):
+                        coords[p + i - 1] = GrassmannElement.theta(k, slot)
+                    value = family(k, (LambdaPoint(domain, k, coords),))
+                    term = PolyCoeff.const(p, reversal_sign(k) * value.coords[c - 1].terms.get((1 << k) - 1, 0))
+                    for a, j in enumerate(u, start=1):
+                        term = term * basis(a, j)
+                    poly = poly + term
+                forms[k][(odd_idx, c)] = poly
+    return Skeleton(domain, codomain, forms)
