@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
+from math import comb, prod
 
 from . import jsonio
 from .errors import (
@@ -33,7 +33,7 @@ from .grassmann import (
     mask_of_indices,
 )
 from .jsonio import _expect, _field, _int_list
-from .parser import POWER_LIMIT, max_str_digits, parse_element, parse_superfunction
+from .parser import POWER_LIMIT, max_str_digits, parse_element, parse_superfunction, too_many_digits
 from .points import (
     CandidateModule,
     LambdaPoint,
@@ -246,6 +246,21 @@ def _cmd_skel_compose(args) -> int:
     obj = _load_json(args.file)
     g = jsonio.skeleton_from_json(_field(obj, "$", "g", dict), "$.g")
     f = jsonio.skeleton_from_json(_field(obj, "$", "f", dict), "$.f")
+    # the bounds of parser._check_power on the pullback: a term P * t_J of g
+    # pulls back to sums of products of at most deg P + |J| of f's
+    # coordinates, polynomials in f's p even variables of degree at most that
+    # number times the largest degree of f
+    f_polys = [poly for coord in f.coords for poly in coord.terms.values()]
+    factors = max(
+        (sum(e) + mask.bit_count() for coord in g.coords for mask, poly in coord.terms.items() for e in poly.terms),
+        default=0,
+    )
+    degree = max([1] + [sum(e) for poly in f_polys for e in poly.terms]) * factors
+    p = f.domain.p
+    if degree > POWER_LIMIT or comb(degree + p, p) > POWER_LIMIT:
+        raise ValueError(f"the composite would exceed {POWER_LIMIT} in degree or terms")
+    if any(too_many_digits(poly.terms, factors) for poly in f_polys):
+        raise ValueError(f"the composite would exceed {POWER_LIMIT} digits")
     _emit(jsonio.skeleton_to_json(skeleton_compose(g, f)))
     return 0
 

@@ -45,27 +45,37 @@ def max_str_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+def too_many_digits(body: dict, k: int) -> bool:
+    """Whether a product of ``k`` factors like ``body`` may have coefficients of
+    more than ``POWER_LIMIT`` digits.
+
+    With ``den`` the common denominator of the coefficients of the nonempty
+    ``body`` and ``num`` the sum of their numerators over it, such a product
+    has coefficients of at most ``k * log10(max(num, den))`` digits.
+    """
+    den = lcm(*[c.denominator for c in body.values()])
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in body.values())
+    # the float log10, compared exactly: k * a / b > POWER_LIMIT
+    a, b = log10(max(num, den)).as_integer_ratio()
+    return k * a > POWER_LIMIT * b
+
+
 def _check_power(body: dict, k: int, pos: int) -> None:
     """Refuse a power to the ``k`` before any work when the power of its body is too large.
 
     The body ``{exponents: coeff}`` is the part of the base free of odd
     generators; the rest is nilpotent and adds a bounded number of binomial
-    terms.  With ``den`` the common denominator of the body's coefficients and
-    ``num`` the sum of their numerators over it, the body to the ``k`` has
-    coefficients of at most ``k * log10(max(num, den))`` digits, ``k`` times
-    the body's degree ``deg``, and at most ``C(k*deg + p, p)`` terms, the
-    monomials of that degree in the ``p`` variables the body contains; the
-    power of a body of one term is one term.
+    terms.  The body to the ``k`` has coefficients within the digit bound of
+    ``too_many_digits``, the degree ``k*deg`` for a body of degree ``deg``, and
+    at most ``C(k*deg + p, p)`` terms, the monomials of that degree in the
+    ``p`` variables the body contains; the power of a body of one term is one
+    term.
     """
     if not body:
         return
-    den = lcm(*[c.denominator for c in body.values()])
-    num = sum(abs(c.numerator) * (den // c.denominator) for c in body.values())
     degree = k * max(map(sum, body))
     p = sum(map(any, zip(*body)))
-    # the float log10, compared exactly: k * a / b > POWER_LIMIT
-    a, b = log10(max(num, den)).as_integer_ratio()
-    if k * a > POWER_LIMIT * b:
+    if too_many_digits(body, k):
         bound = "digits"
     elif degree > POWER_LIMIT:
         bound = "in degree"

@@ -1,16 +1,21 @@
 """Supersmooth maps between superdomains, encoded as skeletons.
 
-A skeleton packs a map into finitely many coefficient maps: for ``k = 0..q``
-an alternating ``k``-form on the odd directions of the domain whose components
-are polynomials in the even variables, taking values in codomain directions of
-parity ``k mod 2``.  A point over a Grassmann algebra is an algebra morphism
-out of the domain's function algebra, so evaluation at it is substitution of
-its coordinates into the map's coordinate superfunctions, and composition is
-the pullback of one map's coordinate superfunctions along the other.  Both
-run on code the library already has: evaluation is one walk of the
-substitution kernel ``grassmann._sum_of_products``, and composition is
-arithmetic of ``Superfunction``s.  Because the coefficients are polynomials
-with rational coefficients, every value is exact.
+A morphism of superdomains ``U -> V`` is fixed by the pullbacks of ``V``'s
+coordinates: it is a point of ``V`` with values in the function algebra of
+``U``.  A skeleton stores exactly that, one ``Superfunction`` per codomain
+coordinate.  A point over a Grassmann algebra is an algebra morphism out of the
+domain's function algebra, so evaluation at it is substitution of its
+coordinates into these superfunctions, and composition is the pullback of one
+map's coordinate superfunctions along the other.  Both run on code the library
+already has: evaluation is one walk of the substitution kernel
+``grassmann._sum_of_products``, and composition is arithmetic of
+``Superfunction``s.  Because the coefficients are polynomials with rational
+coefficients, every value is exact.
+
+The exchange format, taken by the constructor and given back by
+``Skeleton.forms``, is one alternating ``k``-form for each ``k = 0..q`` on the
+odd directions of the domain, whose components are polynomials in the even
+variables, taking values in codomain directions of parity ``k mod 2``.
 
 Normalization (fixed here, enforced by the round-trip and evaluation tests):
 the ``k``-form evaluated on an ascending tuple of odd directions ``I`` equals
@@ -18,7 +23,9 @@ the ``k``-form evaluated on an ascending tuple of odd directions ``I`` equals
 ``t_I``.  With this choice, evaluating the skeleton of a superfunction at a
 point reproduces plain substitution of the point's coordinates into the
 expansion in powers of the odd generators, and the induced evaluation map is
-an algebra morphism into the Grassmann algebra itself.
+an algebra morphism into the Grassmann algebra itself.  The sign is applied
+only where forms enter or leave: the constructor, ``Skeleton.forms`` and gate 1
+of ``check_supersmooth``.
 """
 
 from __future__ import annotations
@@ -66,20 +73,22 @@ Box = tuple[tuple[Fraction, Fraction], ...]
 
 
 class Skeleton(Value):
-    """Coefficient data of a supersmooth map ``domain -> codomain``.
+    """A supersmooth map ``domain -> codomain``, stored as its coordinate superfunctions.
 
-    ``forms[k]`` maps ``(I, c)`` to a polynomial in the even variables, where
-    ``I`` is an ascending tuple of odd-direction indices (``1..q``) of length
-    ``k`` and ``c`` is a codomain basis index of parity ``k mod 2``.  Values on
-    non-ascending tuples follow by alternation; entries for ``k > q`` vanish
-    identically and are not stored.
+    ``coords[c - 1]`` is the pullback ``F_c`` of the codomain coordinate ``c``,
+    a ``Superfunction`` on the domain of the parity of ``c``.  The constructor
+    takes, and ``forms`` gives back, the exchange format: ``forms[k]`` maps
+    ``(I, c)`` to a polynomial ``P`` in the even variables, where ``I`` is an
+    ascending tuple of odd-direction indices (``1..q``) of length ``k`` and
+    ``c`` is a codomain basis index of parity ``k mod 2``, and
+    ``F_c = sum reversal_sign(k) * P * t_I``.  Values on non-ascending tuples
+    follow by alternation; entries for ``k > q`` vanish identically and are
+    not stored.
     """
 
-    __slots__ = ("domain", "codomain", "forms", "dom_box")
+    __slots__ = ("domain", "codomain", "coords", "dom_box")
 
-    @property
-    def _key(self):
-        return self.domain, self.codomain, tuple(frozenset(table.items()) for table in self.forms), self.dom_box
+    _key = property(attrgetter("domain", "codomain", "coords", "dom_box"))
 
     def __init__(
         self,
@@ -91,9 +100,9 @@ class Skeleton(Value):
         forms = tuple(forms)
         if len(forms) != domain.q + 1:
             raise DimensionError(f"expected {domain.q + 1} form degrees, got {len(forms)}")
-        clean = []
+        terms: list[dict[int, PolyCoeff]] = [dict() for _ in range(codomain.dim)]
         for k, table in enumerate(forms):
-            entry: dict[tuple[tuple[int, ...], int], PolyCoeff] = {}
+            sign = reversal_sign(k)
             for (odd_idx, c), poly in table.items():
                 if poly.is_zero():
                     continue
@@ -106,13 +115,23 @@ class Skeleton(Value):
                     raise ParityError(f"degree-{k} form cannot target codomain index {c}")
                 if poly.nvars != domain.p:
                     raise DimensionError(f"coefficient polynomial has {poly.nvars} variables, expected {domain.p}")
-                entry[(odd_idx, c)] = poly
-            clean.append(entry)
+                terms[c - 1][mask_of_indices(odd_idx)] = poly if sign > 0 else -poly
         if dom_box is not None:
             dom_box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in dom_box)
             if len(dom_box) != domain.p:
                 raise DimensionError(f"domain box needs {domain.p} intervals")
-        self._fill(domain, codomain, tuple(clean), dom_box)
+        coords = tuple(Superfunction._make(domain.p, domain.q, t) for t in terms)
+        self._fill(domain, codomain, coords, dom_box)
+
+    @property
+    def forms(self) -> tuple[dict[tuple[tuple[int, ...], int], PolyCoeff], ...]:
+        """The forms of the constructor, in fresh dicts."""
+        forms: list[dict] = [dict() for _ in range(self.domain.q + 1)]
+        for c, coord in enumerate(self.coords, start=1):
+            for mask, poly in coord.terms.items():
+                k = mask.bit_count()
+                forms[k][(indices_of_mask(mask), c)] = poly if reversal_sign(k) > 0 else -poly
+        return tuple(forms)
 
     def __repr__(self):
         sizes = ", ".join(f"k={k}:{len(t)}" for k, t in enumerate(self.forms) if t)
@@ -120,12 +139,10 @@ class Skeleton(Value):
 
 
 def identity_skeleton(space: SuperSpace) -> Skeleton:
-    forms: list[dict] = [dict() for _ in range(space.q + 1)]
-    for a in range(1, space.p + 1):
-        forms[0][((), a)] = PolyCoeff.variable(space.p, a)
-    for b in range(1, space.q + 1):
-        forms[1][((b,), space.p + b)] = PolyCoeff.const(space.p, 1)
-    return Skeleton._make(space, space, tuple(forms), None)
+    p, q = space.p, space.q
+    coords = [Superfunction.coordinate(p, q, a) for a in range(1, p + 1)]
+    coords += [Superfunction.theta(p, q, b) for b in range(1, q + 1)]
+    return Skeleton._make(space, space, tuple(coords), None)
 
 
 def _gd_mul(a: dict, b: dict) -> dict:
@@ -142,34 +159,37 @@ def _gd_mul(a: dict, b: dict) -> dict:
     return {mask: v for mask, pairs in pending.items() if (v := poly_dot(pairs[0][0].nvars, pairs))}
 
 
-def _substitute_point(x: LambdaPoint, p: int, items, dim: int) -> list[GrassmannElement]:
-    """The values at ``x`` of the superfunctions ``sum sign * poly * t_odd``,
-    one per output ``0..dim-1``, for the items ``(odd, out, sign, poly)`` with
-    ``odd`` the 0-based odd positions in ascending order.
+def _substitute_point(x: LambdaPoint, superfunctions: Sequence[Superfunction]) -> list[GrassmannElement]:
+    """The values at ``x`` of ``superfunctions``, on the domain of ``x``.
 
     This is one walk of the substitution kernel ``_sum_of_products``.  The
     factors are the odd coordinates and, for each exponent ``e > 0`` of an
     even variable ``a`` among the terms, the power ``x[a]**e``
     (``power_tables``: each power from the next lower one, a binomial series
-    of at most ``n`` products).  The path of a term ``c * x**e * t_odd`` takes
+    of at most ``n`` products).  The path of a term ``c * x**e * t_I`` takes
     the odd coordinates in ascending order, then one power per even variable
     with ``e[a] > 0``, so no path is longer than ``p + q`` whatever the
     exponents.  Odd first is the cheaper order: the products of the sparse
-    odd coordinates are shared by all monomials of one odd tuple, and a
-    vanishing one prunes them all.
+    odd coordinates are shared by all terms of one odd monomial, and a
+    vanishing one prunes them all.  A term in more than ``n`` odd directions
+    multiplies that many odd elements over ``n`` generators and is skipped.
     """
-    q = len(x.coords) - p
+    p, q = x.space.p, x.space.q
     powers: dict[tuple[int, int], int] = {}
     entries = []
     monomials = []
-    for odd, out, sign, poly in items:
-        for exps, coeff in poly.terms.items():
-            even = [powers.setdefault((a, e), q + len(powers)) for a, e in enumerate(exps) if e]
-            entries.append((odd + even, out, coeff if sign > 0 else -coeff))
-        monomials += poly.terms
+    for out, f in enumerate(superfunctions):
+        for mask, poly in f.terms.items():
+            if mask.bit_count() > x.n:
+                continue
+            odd = _path(mask)
+            for exps, coeff in poly.terms.items():
+                even = [powers.setdefault((a, e), q + len(powers)) for a, e in enumerate(exps) if e]
+                entries.append((odd + even, out, coeff))
+            monomials += poly.terms
     tables = power_tables(x.coords[:p], monomials, GrassmannElement.one(x.n))
     fden, factors = _numerators([c.terms for c in x.coords[p:]] + [tables[a][e].terms for a, e in powers])
-    return _sum_of_products(x.n, _product_trie(entries), factors, fden, dim)
+    return _sum_of_products(x.n, _product_trie(entries), factors, fden, len(superfunctions))
 
 
 def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
@@ -177,10 +197,9 @@ def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
 
     A point is an algebra morphism out of the domain's function algebra, so
     evaluation is substitution of the point's coordinates into the map's
-    coordinate superfunctions ``sum reversal_sign(k) * P * t_I``: one walk of
-    ``_substitute_point`` for all codomain coordinates.  A form of degree
-    ``k > n`` multiplies ``k`` odd elements over ``n`` generators and is
-    skipped.  The bodies are checked against the domain box first.
+    coordinate superfunctions: one walk of ``_substitute_point`` for all
+    codomain coordinates.  The bodies are checked against the domain box
+    first.
     """
     if x.space != skel.domain:
         raise DimensionError(f"point format {x.space} does not match domain {skel.domain}")
@@ -188,77 +207,47 @@ def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
         value = body(x.coords[a])
         if not lo <= value <= hi:
             raise DomainError(f"body coordinate x{a + 1}={value} outside [{lo}, {hi}]")
-    items = [
-        ([i - 1 for i in odd_idx], c - 1, reversal_sign(k), poly)
-        for k, table in enumerate(skel.forms[: x.n + 1])
-        for (odd_idx, c), poly in table.items()
-    ]
-    out = _substitute_point(x, skel.domain.p, items, skel.codomain.dim)
-    return LambdaPoint._make(skel.codomain, x.n, tuple(out))
-
-
-def _coordinate_superfunctions(skel: Skeleton) -> list[Superfunction]:
-    """``F_c = sum reversal_sign(k) * P * t_I`` over the entries ``(I, c) -> P``."""
-    terms: list[dict] = [dict() for _ in range(skel.codomain.dim)]
-    for k, table in enumerate(skel.forms):
-        for (odd_idx, c), poly in table.items():
-            terms[c - 1][mask_of_indices(odd_idx)] = reversal_sign(k) * poly
-    return [Superfunction._make(skel.domain.p, skel.domain.q, t) for t in terms]
-
-
-def _from_coordinates(
-    domain: SuperSpace, codomain: SuperSpace, coords: Sequence[Superfunction], dom_box: Box | None
-) -> Skeleton:
-    """The skeleton whose coordinate superfunctions are ``coords``: the inverse
-    of ``_coordinate_superfunctions``."""
-    forms: list[dict] = [dict() for _ in range(domain.q + 1)]
-    for c, coord in enumerate(coords, start=1):
-        for mask, poly in coord.terms.items():
-            k = mask.bit_count()
-            forms[k][(indices_of_mask(mask), c)] = reversal_sign(k) * poly
-    return Skeleton._make(domain, codomain, tuple(forms), dom_box)
+    return LambdaPoint._make(skel.codomain, x.n, tuple(_substitute_point(x, skel.coords)))
 
 
 def skeleton_compose(g: Skeleton, f: Skeleton) -> Skeleton:
     """Skeleton of the composite ``g after f``: the pullback along ``f`` of
     ``g``'s coordinate superfunctions.
 
-    With ``F`` the coordinate superfunctions of ``f``, each entry
-    ``(J, c) -> P`` of ``g`` adds ``reversal_sign(|J|) * P(F_even) * F_J`` to
-    the composite's coordinate ``c``, where ``F_J`` is the ascending product of
-    the odd ``F``s at ``J``.  The powers of the even ``F``s come from
-    ``power_tables`` in the superfunction ring, one value per exponent tuple,
-    and ``P(F_even)`` is summed per odd monomial by one ``poly_dot``.  The
-    forms are read back with the reversal sign.  Domain boxes are
+    With ``F`` the coordinate superfunctions of ``f``, each term ``P * t_J`` of
+    ``g``'s coordinate ``c`` adds ``P(F_even) * F_J`` to the composite's
+    coordinate ``c``, where ``F_J`` is the ascending product of the odd ``F``s
+    at ``J``.  The powers of the even ``F``s come from ``power_tables`` in the
+    superfunction ring, one value per exponent tuple, and ``P(F_even)`` is
+    summed per odd monomial by one ``poly_dot``.  Domain boxes are
     evaluation-time guards, so the composite inherits ``f``'s box.
     """
     if f.codomain != g.domain:
         raise DimensionError(f"cannot compose {g.domain} -> {g.codomain} after {f.domain} -> {f.codomain}")
     p, q = f.domain.p, f.domain.q
-    coords = _coordinate_superfunctions(f)
-    even, odd = coords[: g.domain.p], coords[g.domain.p :]
+    even, odd = f.coords[: g.domain.p], f.coords[g.domain.p :]
     one = Superfunction.const(p, q, 1)
-    tables = power_tables(even, [exps for table in g.forms for poly in table.values() for exps in poly.terms], one)
+    tables = power_tables(even, [exps for coord in g.coords for poly in coord.terms.values() for exps in poly.terms], one)
     monomials: dict[tuple[int, ...], Superfunction] = {}
-    odd_products: dict[tuple[int, ...], Superfunction] = {}
-    parts: list[list[Superfunction]] = [[] for _ in range(g.codomain.dim)]
-    for k, table in enumerate(g.forms):
-        sign = reversal_sign(k)
-        for (odd_idx, c), poly in table.items():
+    odd_products: dict[int, Superfunction] = {}
+    coords = []
+    for coord in g.coords:
+        part = []
+        for mask, poly in coord.terms.items():
             pending: dict[int, list] = {}
             for exps, coeff in poly.terms.items():
                 value = monomials.get(exps)
                 if value is None:
                     value = monomials[exps] = monomial_value(tables, exps, one)
-                for mask, v in value.terms.items():
-                    pending.setdefault(mask, []).append((v, sign * coeff))
+                for m, v in value.terms.items():
+                    pending.setdefault(m, []).append((v, coeff))
             combination = Superfunction._make(p, q, {m: s for m, pairs in pending.items() if (s := poly_dot(p, pairs))})
-            factor = odd_products.get(odd_idx)
+            factor = odd_products.get(mask)
             if factor is None:
-                factor = odd_products[odd_idx] = prod([odd[j - 1] for j in odd_idx], start=one)
-            parts[c - 1].append(combination * factor)
-    coords = [sum_terms(part) if part else one._new({}) for part in parts]
-    return _from_coordinates(f.domain, g.codomain, coords, f.dom_box)
+                factor = odd_products[mask] = prod([odd[j] for j in _path(mask)], start=one)
+            part.append(combination * factor)
+        coords.append(sum_terms(part) if part else one._new({}))
+    return Skeleton._make(f.domain, g.codomain, tuple(coords), f.dom_box)
 
 
 # -- superfunctions ---------------------------------------------------------------
@@ -367,7 +356,7 @@ def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
     reference."""
     if x.space != SuperSpace(f.p, f.q):
         raise DimensionError(f"point format {x.space} does not match superdomain {f.p}|{f.q}")
-    return _substitute_point(x, f.p, [(_path(mask), 0, 1, poly) for mask, poly in f.terms.items()], 1)[0]
+    return _substitute_point(x, (f,))[0]
 
 
 R_SPACE = SuperSpace(1, 1)
@@ -386,14 +375,14 @@ def point_to_element(x: LambdaPoint) -> GrassmannElement:
 
 def superfunction_to_skeleton(f: Superfunction) -> Skeleton:
     """The skeleton of a superfunction, seen as a map into the format ``1|1``."""
-    parts = [f._new({m: c for m, c in f.terms.items() if m.bit_count() & 1 == odd}) for odd in (0, 1)]
-    return _from_coordinates(SuperSpace(f.p, f.q), R_SPACE, parts, None)
+    parts = tuple(f._new({m: c for m, c in f.terms.items() if m.bit_count() & 1 == odd}) for odd in (0, 1))
+    return Skeleton._make(SuperSpace(f.p, f.q), R_SPACE, parts, None)
 
 
 def skeleton_to_superfunction(skel: Skeleton) -> Superfunction:
     if skel.codomain != R_SPACE:
         raise DimensionError(f"superfunctions target the format 1|1, got {skel.codomain}")
-    return sum_terms(_coordinate_superfunctions(skel))
+    return sum_terms(skel.coords)
 
 
 # -- the derived multiplication on the representing space of the function algebra --

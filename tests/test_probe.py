@@ -147,3 +147,31 @@ class TestCliWorkBound:
             assert "would probe" in captured.err
         with pytest.raises(Reached):  # 16**3 = 4096 probes
             reconstruct(16)
+
+    def test_skel_compose_pullback(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "skeleton_compose", _reached)
+
+        def skeleton(dom, cod, entries):
+            maps = [{"k": 0, "entries": [{"odd_idx": [], "out": c, "poly": poly} for c, poly in entries]}]
+            return {"domain": {"p": dom, "q": 0}, "codomain": {"p": cod, "q": 0}, "dom_box": None, "maps": maps}
+
+        def compose(power, inner):
+            path = tmp_path / "compose.json"
+            p = 1 if "x2" not in inner else 2
+            f = skeleton(p, p, [(1, inner), (2, "x2")][:p])
+            path.write_text(json.dumps({"g": skeleton(p, 1, [(1, f"x1^{power}")]), "f": f}))
+            return cli.main(["skel-compose", str(path)])
+
+        # (1+x1+x2)^e has C(e+2, 2) terms: 4,278 at e = 91 and 4,371 at e = 92;
+        # (1+x1)^4300 has 4,301; the coefficients of (12345/678 + 98765/4321*x1)^e
+        # have at most e * log10(40101805) digits, 4,181 at e = 550 and 4,333 at e = 570
+        cases = [(92, "1 + x1 + x2", "degree or terms"), (4000, "1 + x1 + x2", "degree or terms"),
+                 (4300, "1 + x1", "degree or terms"), (570, "12345/678 + 98765/4321*x1", "digits")]
+        for power, inner, message in cases:
+            code = compose(power, inner)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert message in captured.err
+        for power, inner in [(91, "1 + x1 + x2"), (550, "12345/678 + 98765/4321*x1")]:
+            with pytest.raises(Reached):
+                compose(power, inner)
