@@ -25,7 +25,9 @@ from .errors import (
 from .grassmann import (
     MAX_GENERATORS,
     GrassmannElement,
+    _elements,
     _numerators,
+    _path,
     _product_trie,
     _sum_of_products,
     format_terms,
@@ -48,7 +50,7 @@ from .points import (
     vnil_module,
 )
 from .poly import PolyCoeff
-from .skeleton import cs_structure, skeleton_compose, skeleton_eval
+from .skeleton import _pullback_degree, cs_structure, skeleton_compose, skeleton_eval
 from .superlinear import SuperSpace
 from .supermatrix import mat_inv, supertrace
 
@@ -123,7 +125,7 @@ def family_from_json(obj, path: str = "$") -> PointFamily:
                 raise DimensionError(f"argument {x.space} over {x.n} generators, expected {space} over {n}")
         den, factors = _numerators([c.terms for x in args for c in x.coords])
         factors += [{} if mask >> n else {mask: den} for mask in thetas]
-        return LambdaPoint(codomain, n, _sum_of_products(n, trie, factors, den, codomain.dim))
+        return LambdaPoint(codomain, n, _elements(n, _sum_of_products(n, trie, factors, den, codomain.dim)))
 
     return PointFamily(domains, codomain, component, n_max)
 
@@ -238,6 +240,14 @@ def _cmd_skel_eval(args) -> int:
     obj = _load_json(args.file)
     skel = jsonio.skeleton_from_json(_field(obj, "$", "skeleton", dict), "$.skeleton")
     point = jsonio.point_from_json(_field(obj, "$", "point", dict), "$.point")
+    if point.space == skel.domain:
+        # a term in the odd directions J multiplies the point's odd
+        # coordinates at J into at most min(product of their term counts,
+        # C(n, |J|)) terms
+        odd = point.coords[point.space.p :]
+        for mask in {mask for coord in skel.coords for mask in coord.terms}:
+            if min(prod(len(odd[b].terms) for b in _path(mask)), comb(point.n, mask.bit_count())) > POWER_LIMIT:
+                raise ValueError(f"an odd product of the value would exceed {POWER_LIMIT} terms")
     _emit(jsonio.point_to_json(skeleton_eval(skel, point)))
     return 0
 
@@ -250,16 +260,11 @@ def _cmd_skel_compose(args) -> int:
     # pulls back to sums of products of at most deg P + |J| of f's
     # coordinates, polynomials in f's p even variables of degree at most that
     # number times the largest degree of f
-    f_polys = [poly for coord in f.coords for poly in coord.terms.values()]
-    factors = max(
-        (sum(e) + mask.bit_count() for coord in g.coords for mask, poly in coord.terms.items() for e in poly.terms),
-        default=0,
-    )
-    degree = max([1] + [sum(e) for poly in f_polys for e in poly.terms]) * factors
+    factors, degree = _pullback_degree(g, f)
     p = f.domain.p
     if degree > POWER_LIMIT or comb(degree + p, p) > POWER_LIMIT:
         raise ValueError(f"the composite would exceed {POWER_LIMIT} in degree or terms")
-    if any(too_many_digits(poly.terms, factors) for poly in f_polys):
+    if any(too_many_digits(poly.terms, factors) for coord in f.coords for poly in coord.terms.values()):
         raise ValueError(f"the composite would exceed {POWER_LIMIT} digits")
     _emit(jsonio.skeleton_to_json(skeleton_compose(g, f)))
     return 0

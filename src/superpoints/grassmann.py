@@ -28,7 +28,11 @@ does the one substitution walk ``_sum_of_products``: a
 polynomial with rational coefficients, stored as a trie of prefix products,
 evaluated at Grassmann elements.  Base change of any number of elements
 under one morphism, the lift of a multilinear map and the evaluation of a
-skeleton or a superfunction at a point each run one such walk.
+skeleton or a superfunction at a point each run one such walk.  So does the
+composition of skeletons, at superfunctions on ``p|q``, whose term
+``c * x**e * t_I`` is the packed key ``I + sum_a e_a << (q + W*a)``: the sign
+and the disjointness test read the odd mask ``I`` in the low ``q`` bits, and
+the key of a product is the sum of the keys.
 
 Validation follows the policy of ``_value``: the public constructors
 ``GrassmannElement(n, terms)`` and ``GrassmannMorphism(src_n, dst_m, images)``
@@ -45,9 +49,8 @@ and the text through ``format_terms``; ``sum_terms`` adds many at once.  A
 subclass supplies its validating constructor, ``_dims`` (the dimensions
 operands must share), ``_new`` (``_make`` with its own dimensions), ``_embed`` (a
 constant), ``_monomial`` (the text of one key) and ``__mul__``: ``gr_mul``
-here, ``poly_dot`` in ``poly``, ``_gd_mul`` in ``skeleton``.  The two product
-loops stay apart: ``_mul_into`` runs on integer numerators for rational
-coefficients, and ``_gd_mul`` collects pairs for ``poly_dot``.
+here, ``poly_dot`` in ``poly``, ``_gd_mul`` in ``skeleton``.  ``_gd_mul``, the
+product of two superfunctions, collects pairs for ``poly_dot``.
 """
 
 from __future__ import annotations
@@ -399,32 +402,36 @@ def _numerators(term_maps: list[Mapping[int, Fraction]]) -> tuple[int, list[dict
     ]
 
 
-def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int], n: int) -> None:
-    """Add the product of the numerator maps ``left * right`` into ``acc``."""
+def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int], n: int, bare: bool = True) -> None:
+    """Add the product of the numerator maps ``left * right`` into ``acc``.
+
+    Unless ``bare``, keys hold exponent fields above the odd mask in their low
+    ``n`` bits: the sign reads only the mask, the keys of a product add, and
+    the submask walk, which looks up bare masks, is not taken."""
     get = acc.get
     full = (1 << n) - 1
-    size = len(right)
+    dense_at = n - (len(right) - 1).bit_length() if bare else n
     pairs = right.items()
     lookup = right.get
-    for ma, x in left.items():
+    for ka, x in left.items():
+        ma = ka & full
         sm = _sign_mask(ma)
         neg = -x
-        free = full ^ ma
-        if size > 1 << free.bit_count():
-            s = free
+        if ma.bit_count() > dense_at:
+            free = s = full ^ ma
             while True:
                 y = lookup(s)
                 if y is not None:
-                    m = ma | s
+                    m = ka + s
                     acc[m] = get(m, 0) + (neg * y if (s & sm).bit_count() & 1 else x * y)
                 if not s:
                     break
                 s = (s - 1) & free
         else:
-            for mb, y in pairs:
-                if not ma & mb:
-                    m = ma | mb
-                    acc[m] = get(m, 0) + (neg * y if (mb & sm).bit_count() & 1 else x * y)
+            for kb, y in pairs:
+                if not ma & kb:
+                    m = ka + kb
+                    acc[m] = get(m, 0) + (neg * y if (kb & sm).bit_count() & 1 else x * y)
 
 
 def _element(n: int, acc: dict[int, int], den: int) -> GrassmannElement:
@@ -462,15 +469,16 @@ def _product_trie(entries: Iterable[tuple[Sequence[int], int, Fraction]]) -> tup
 
 
 def _sum_of_products(
-    n: int, trie: tuple[int, int, tuple], factors: Sequence[dict[int, int]], fden: int, dim: int
-) -> list[GrassmannElement]:
+    n: int, trie: tuple[int, int, tuple], factors: Sequence[dict[int, int]], fden: int, dim: int, bare: bool = True
+) -> tuple[list[dict[int, int]], int]:
     """The sums of the trie of ``_product_trie`` at the factors ``f[k]``, one
-    element per output ``0..dim-1``.
+    numerator map per output ``0..dim-1``, and their common denominator.
 
     This is the one substitution kernel: the lift of a multilinear map, base
     change (``_substitute``), ``skeleton.skeleton_eval`` and
     ``skeleton.superfunction_eval`` each evaluate a polynomial with rational
-    coefficients at Grassmann elements through it.
+    coefficients at Grassmann elements through it, and
+    ``skeleton.skeleton_compose`` at superfunctions on packed keys (``bare``).
     ``factors[k]`` holds the numerators of ``f[k]`` over the denominator
     ``fden`` shared by all factors.  The walk multiplies each node's prefix
     product by one factor and stops a branch at the first zero, so a zero
@@ -498,13 +506,17 @@ def _sum_of_products(
             right = factors[key]
             if right:
                 nxt: dict[int, int] = {}
-                _mul_into(nxt, prod, right, n)
+                _mul_into(nxt, prod, right, n, bare)
                 if len(prod) > 1 and len(right) > 1:
                     nxt = {m: v for m, v in nxt.items() if v}
                 if nxt:
                     stack.append((child, nxt, level))
-    total = den * fden**depth
-    return [_element(n, acc, total) for acc in accs]
+    return accs, den * fden**depth
+
+
+def _elements(n: int, sums: tuple[list[dict[int, int]], int]) -> list[GrassmannElement]:
+    """The elements of the sums ``(accs, den)`` of ``_sum_of_products``."""
+    return [_element(n, acc, sums[1]) for acc in sums[0]]
 
 
 def _numerator_products(
@@ -793,7 +805,7 @@ def _substitute(phi: GrassmannMorphism, elements: Sequence[GrassmannElement]) ->
         phi._cache("_nums", nums)
     d, gens = nums
     trie = _product_trie((_path(mask), out, c) for out, a in enumerate(elements) for mask, c in a.terms.items())
-    return _sum_of_products(phi.dst_m, trie, gens, d, len(elements))
+    return _elements(phi.dst_m, _sum_of_products(phi.dst_m, trie, gens, d, len(elements)))
 
 
 def morphism_compose(psi: GrassmannMorphism, phi: GrassmannMorphism) -> GrassmannMorphism:

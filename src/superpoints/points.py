@@ -34,6 +34,7 @@ from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
     Parity,
+    _elements,
     _numerators,
     _product_trie,
     _substitute,
@@ -172,7 +173,8 @@ def lift_multilinear(f: MultilinearMap, args: Sequence[LambdaPoint]) -> LambdaPo
         )
         f._cache("_trie", trie)
     fden, factors = _numerators([c.terms for x in args for c in x.coords])
-    return LambdaPoint._make(f.codomain, n, tuple(_sum_of_products(n, trie, factors, fden, f.codomain.dim)))
+    sums = _sum_of_products(n, trie, factors, fden, f.codomain.dim)
+    return LambdaPoint._make(f.codomain, n, tuple(_elements(n, sums)))
 
 
 def _offsets(domains: Sequence[SuperSpace]) -> list[int]:

@@ -166,12 +166,12 @@ def _packed(p: PolyCoeff, width: int) -> tuple[int, int, dict[int, int]]:
     return cached[1:]
 
 
-def power_tables(values: Sequence, monomials, one) -> list[dict[int, object]]:
-    """``tables[a][e] == values[a] ** e`` for every exponent ``e`` of variable
-    ``a`` among the monomials; each power comes from the next lower one."""
+def power_tables(values: Sequence, monomials) -> list[dict[int, object]]:
+    """``tables[a][e] == values[a] ** e`` for every exponent ``e > 0`` of
+    variable ``a`` among the monomials; each power comes from the next lower one."""
     tables = []
     for a, v in enumerate(values):
-        table = {0: one}
+        table = {}
         prev = 0
         for e in sorted({exps[a] for exps in monomials} - {0}):
             step = v if e - prev == 1 else v ** (e - prev)
@@ -179,15 +179,6 @@ def power_tables(values: Sequence, monomials, one) -> list[dict[int, object]]:
             prev = e
         tables.append(table)
     return tables
-
-
-def monomial_value(tables: list[dict[int, object]], exps: tuple[int, ...], one):
-    """The product of the tabled powers ``values[a] ** exps[a]``."""
-    term = None
-    for table, e in zip(tables, exps):
-        if e:
-            term = table[e] if term is None else term * table[e]
-    return one if term is None else term
 
 
 def format_poly(p: PolyCoeff) -> str:

@@ -5,12 +5,11 @@ coordinates: it is a point of ``V`` with values in the function algebra of
 ``U``.  A skeleton stores exactly that, one ``Superfunction`` per codomain
 coordinate.  A point over a Grassmann algebra is an algebra morphism out of the
 domain's function algebra, so evaluation at it is substitution of its
-coordinates into these superfunctions, and composition is the pullback of one
-map's coordinate superfunctions along the other.  Both run on code the library
-already has: evaluation is one walk of the substitution kernel
-``grassmann._sum_of_products``, and composition is arithmetic of
-``Superfunction``s.  Because the coefficients are polynomials with rational
-coefficients, every value is exact.
+coordinates into these superfunctions.  Composition ``g after f`` is the same
+evaluation, at the point of ``g``'s domain that ``f``'s coordinate
+superfunctions form.  Both are one walk of the substitution kernel
+``grassmann._sum_of_products``.  Because the coefficients are polynomials with
+rational coefficients, every value is exact.
 
 The exchange format, taken by the constructor and given back by
 ``Skeleton.forms``, is one alternating ``k``-form for each ``k = 0..q`` on the
@@ -33,8 +32,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
-from operator import attrgetter
+from math import comb
+from operator import attrgetter, lshift
 from typing import Mapping, Sequence
 
 from ._value import Value
@@ -42,6 +41,7 @@ from .errors import DimensionError, DomainError, ParityError
 from .grassmann import (
     GrassmannElement,
     _SparseForm,
+    _elements,
     _numerators,
     _odd_monomial,
     _path,
@@ -66,7 +66,7 @@ from .points import (
     reconstruct_multilinear,
     reversal_sign,
 )
-from .poly import PolyCoeff, monomial_value, poly_dot, power_tables
+from .poly import FIELD_BITS, PolyCoeff, poly_dot, power_tables
 from .superlinear import MultilinearMap, SuperSpace
 
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -159,37 +159,43 @@ def _gd_mul(a: dict, b: dict) -> dict:
     return {mask: v for mask, pairs in pending.items() if (v := poly_dot(pairs[0][0].nvars, pairs))}
 
 
-def _substitute_point(x: LambdaPoint, superfunctions: Sequence[Superfunction]) -> list[GrassmannElement]:
-    """The values at ``x`` of ``superfunctions``, on the domain of ``x``.
+def _substitute_point(values: Sequence, p: int, n: int, superfunctions: Sequence[Superfunction], shifts=None):
+    """The sums ``(accs, den)`` of ``superfunctions`` at ``values`` (``p`` even,
+    then the odd ones), in one walk of ``_sum_of_products``.
 
-    This is one walk of the substitution kernel ``_sum_of_products``.  The
-    factors are the odd coordinates and, for each exponent ``e > 0`` of an
-    even variable ``a`` among the terms, the power ``x[a]**e``
-    (``power_tables``: each power from the next lower one, a binomial series
-    of at most ``n`` products).  The path of a term ``c * x**e * t_I`` takes
-    the odd coordinates in ascending order, then one power per even variable
+    The values are Grassmann elements over ``n`` generators, or superfunctions
+    with ``n`` odd variables whose term ``c * x**e * t_I`` packs into the key
+    ``I + sum_a e_a << shifts[a]``, with fields wide enough for every exponent
+    of the sums.  The factors are the odd values and, for each exponent
+    ``e > 0`` of an even variable ``a`` among the terms, the power
+    ``values[a]**e`` (``power_tables``).  The path of a term ``c * x**e * t_I``
+    takes the odd values in ascending order, then one power per even variable
     with ``e[a] > 0``, so no path is longer than ``p + q`` whatever the
-    exponents.  Odd first is the cheaper order: the products of the sparse
-    odd coordinates are shared by all terms of one odd monomial, and a
-    vanishing one prunes them all.  A term in more than ``n`` odd directions
-    multiplies that many odd elements over ``n`` generators and is skipped.
+    exponents.  Odd first is the cheaper order: the products of the sparse odd
+    values are shared by all terms of one odd monomial, and a vanishing one
+    prunes them all.  A term in more than ``n`` odd directions
+    vanishes and is skipped.
     """
-    p, q = x.space.p, x.space.q
+    q = len(values) - p
     powers: dict[tuple[int, int], int] = {}
     entries = []
     monomials = []
     for out, f in enumerate(superfunctions):
         for mask, poly in f.terms.items():
-            if mask.bit_count() > x.n:
+            if mask.bit_count() > n:
                 continue
             odd = _path(mask)
             for exps, coeff in poly.terms.items():
                 even = [powers.setdefault((a, e), q + len(powers)) for a, e in enumerate(exps) if e]
                 entries.append((odd + even, out, coeff))
             monomials += poly.terms
-    tables = power_tables(x.coords[:p], monomials, GrassmannElement.one(x.n))
-    fden, factors = _numerators([c.terms for c in x.coords[p:]] + [tables[a][e].terms for a, e in powers])
-    return _sum_of_products(x.n, _product_trie(entries), factors, fden, len(superfunctions))
+    tables = power_tables(values[:p], monomials)
+    factors = [v.terms for v in values[p:]] + [tables[a][e].terms for a, e in powers]
+    if shifts is not None:
+        factors = [{m + sum(map(lshift, e, shifts)): c for m, pc in t.items() for e, c in pc.terms.items()}
+                   for t in factors]
+    fden, nums = _numerators(factors)
+    return _sum_of_products(n, _product_trie(entries), nums, fden, len(superfunctions), shifts is None)
 
 
 def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
@@ -207,46 +213,41 @@ def skeleton_eval(skel: Skeleton, x: LambdaPoint) -> LambdaPoint:
         value = body(x.coords[a])
         if not lo <= value <= hi:
             raise DomainError(f"body coordinate x{a + 1}={value} outside [{lo}, {hi}]")
-    return LambdaPoint._make(skel.codomain, x.n, tuple(_substitute_point(x, skel.coords)))
+    values = _elements(x.n, _substitute_point(x.coords, x.space.p, x.n, skel.coords))
+    return LambdaPoint._make(skel.codomain, x.n, tuple(values))
+
+
+def _pullback_degree(g: Skeleton, f: Skeleton) -> tuple[int, int]:
+    """``(m, D)``: a term ``P * t_J`` of ``g`` pulls back to sums of products of
+    at most ``m = max(deg P + |J|)`` of ``f``'s coordinates, of degree at most
+    ``D = max(1, deg f) * m``."""
+    factors = max(
+        (sum(e) + mask.bit_count() for coord in g.coords for mask, poly in coord.terms.items() for e in poly.terms),
+        default=0,
+    )
+    degree = max([1] + [sum(e) for coord in f.coords for poly in coord.terms.values() for e in poly.terms])
+    return factors, degree * factors
 
 
 def skeleton_compose(g: Skeleton, f: Skeleton) -> Skeleton:
-    """Skeleton of the composite ``g after f``: the pullback along ``f`` of
-    ``g``'s coordinate superfunctions.
-
-    With ``F`` the coordinate superfunctions of ``f``, each term ``P * t_J`` of
-    ``g``'s coordinate ``c`` adds ``P(F_even) * F_J`` to the composite's
-    coordinate ``c``, where ``F_J`` is the ascending product of the odd ``F``s
-    at ``J``.  The powers of the even ``F``s come from ``power_tables`` in the
-    superfunction ring, one value per exponent tuple, and ``P(F_even)`` is
-    summed per odd monomial by one ``poly_dot``.  Domain boxes are
-    evaluation-time guards, so the composite inherits ``f``'s box.
+    """Skeleton of the composite ``g after f``: ``g`` evaluated at the point of
+    its domain that ``f``'s coordinate superfunctions form, in one walk of
+    ``_substitute_point`` on packed keys whose fields hold the degree bound of
+    ``_pullback_degree``.  The composite inherits ``f``'s domain box.
     """
     if f.codomain != g.domain:
         raise DimensionError(f"cannot compose {g.domain} -> {g.codomain} after {f.domain} -> {f.codomain}")
     p, q = f.domain.p, f.domain.q
-    even, odd = f.coords[: g.domain.p], f.coords[g.domain.p :]
-    one = Superfunction.const(p, q, 1)
-    tables = power_tables(even, [exps for coord in g.coords for poly in coord.terms.values() for exps in poly.terms], one)
-    monomials: dict[tuple[int, ...], Superfunction] = {}
-    odd_products: dict[int, Superfunction] = {}
+    width = max(FIELD_BITS, _pullback_degree(g, f)[1].bit_length())
+    shifts, full, field = range(q, q + width * p, width), (1 << q) - 1, (1 << width) - 1
+    accs, den = _substitute_point(f.coords, g.domain.p, q, g.coords, shifts)
     coords = []
-    for coord in g.coords:
-        part = []
-        for mask, poly in coord.terms.items():
-            pending: dict[int, list] = {}
-            for exps, coeff in poly.terms.items():
-                value = monomials.get(exps)
-                if value is None:
-                    value = monomials[exps] = monomial_value(tables, exps, one)
-                for m, v in value.terms.items():
-                    pending.setdefault(m, []).append((v, coeff))
-            combination = Superfunction._make(p, q, {m: s for m, pairs in pending.items() if (s := poly_dot(p, pairs))})
-            factor = odd_products.get(mask)
-            if factor is None:
-                factor = odd_products[mask] = prod([odd[j] for j in _path(mask)], start=one)
-            part.append(combination * factor)
-        coords.append(sum_terms(part) if part else one._new({}))
+    for acc in accs:
+        terms: dict[int, dict] = {}
+        for k, v in acc.items():
+            if v:
+                terms.setdefault(k & full, {})[tuple([k >> s & field for s in shifts])] = Fraction(v, den)
+        coords.append(Superfunction._make(p, q, {m: PolyCoeff._make(p, t) for m, t in terms.items()}))
     return Skeleton._make(f.domain, g.codomain, tuple(coords), f.dom_box)
 
 
@@ -356,7 +357,7 @@ def superfunction_eval(f: Superfunction, x: LambdaPoint) -> GrassmannElement:
     reference."""
     if x.space != SuperSpace(f.p, f.q):
         raise DimensionError(f"point format {x.space} does not match superdomain {f.p}|{f.q}")
-    return _substitute_point(x, (f,))[0]
+    return _elements(x.n, _substitute_point(x.coords, f.p, x.n, (f,)))[0]
 
 
 R_SPACE = SuperSpace(1, 1)

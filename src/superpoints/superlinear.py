@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._value import Value
@@ -109,7 +110,8 @@ class MultilinearMap(Value):
     """An even rational multilinear map between super vector spaces.
 
     ``coeffs`` maps ``(input_indices, output_index)`` to the coefficient of the
-    output basis vector in the image of the input basis tuple.  Evenness means
+    output basis vector in the image of the input basis tuple; it is a
+    read-only view, so the value cannot be changed through it.  Evenness means
     an entry may only be nonzero when the input parities sum to the output
     parity mod 2; this is validated at construction.  The slot ``_trie`` caches
     the entry trie of ``points.lift_multilinear``.
@@ -138,7 +140,7 @@ class MultilinearMap(Value):
             if parity != codomain.parity(out):
                 raise ParityError(f"entry {(ins, out)} violates evenness")
             clean[(ins, out)] = c
-        self._fill(domains, codomain, clean)
+        self._fill(domains, codomain, MappingProxyType(clean))
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "MultilinearMap":

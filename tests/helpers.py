@@ -4,12 +4,13 @@ Everything here recomputes results along a different code path than the
 library: signs by explicit sorting instead of bitmask popcounts, map
 evaluation by ``poly_eval`` (each term a product of powers) and one
 ``gr_mul`` per odd factor instead of the library's substitution walk,
-composition by substituting twice, inverses by the terminating geometric
-series around the body, on the public products and sums, instead of the
-library's recursion on the last generator, and the candidate skeleton of
-``check_supersmooth`` by one probe per odd tuple, codomain coordinate and body
-node, interpolated as products of Lagrange basis polynomials, instead of one
-probe per body node.
+composition by substituting twice, or by ``Superfunction`` arithmetic
+(``reference_compose``) instead of one walk on packed keys, inverses by the
+terminating geometric series around the body, on the public products and
+sums, instead of the library's recursion on the last generator, and the
+candidate skeleton of ``check_supersmooth`` by one probe per odd tuple,
+codomain coordinate and body node, interpolated as products of Lagrange basis
+polynomials, instead of one probe per body node.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from superpoints import (
     nil_part,
     reversal_sign,
 )
-from superpoints.grassmann import indices_of_mask
-from superpoints.poly import PolyCoeff
+from superpoints.grassmann import _path, indices_of_mask, sum_terms
+from superpoints.poly import PolyCoeff, poly_dot, power_tables
+from superpoints.skeleton import Superfunction
 
 
 def sign_by_sorting(left: tuple[int, ...], right: tuple[int, ...]):
@@ -224,3 +226,46 @@ def reference_candidate(family: PointFamily, max_degree: int) -> Skeleton:
                     poly = poly + term
                 forms[k][(odd_idx, c)] = poly
     return Skeleton(domain, codomain, forms)
+
+
+def reference_compose(g: Skeleton, f: Skeleton) -> Skeleton:
+    """The composite ``g after f`` by ``Superfunction`` arithmetic.
+
+    Each term ``P * t_J`` of ``g``'s coordinate ``c`` adds ``P(F_even) * F_J``
+    to the composite's coordinate ``c``, where ``F_J`` is the ascending
+    product of the odd coordinates of ``f`` at ``J``.  The powers of the even
+    coordinates come from ``power_tables``, one value per exponent tuple, and
+    ``P(F_even)`` is summed per odd monomial by one ``poly_dot``.
+    """
+    assert f.codomain == g.domain
+    p, q = f.domain.p, f.domain.q
+    even, odd = f.coords[: g.domain.p], f.coords[g.domain.p :]
+    one = Superfunction.const(p, q, 1)
+    tables = power_tables(even, [exps for coord in g.coords for poly in coord.terms.values() for exps in poly.terms])
+    monomials: dict[tuple[int, ...], Superfunction] = {}
+    odd_products: dict[int, Superfunction] = {}
+    coords = []
+    for coord in g.coords:
+        part = []
+        for mask, poly in coord.terms.items():
+            pending: dict[int, list] = {}
+            for exps, coeff in poly.terms.items():
+                value = monomials.get(exps)
+                if value is None:
+                    value = one
+                    for table, e in zip(tables, exps):
+                        if e:
+                            value = value * table[e]
+                    monomials[exps] = value
+                for m, v in value.terms.items():
+                    pending.setdefault(m, []).append((v, coeff))
+            combination = Superfunction(p, q, {m: s for m, pairs in pending.items() if (s := poly_dot(p, pairs))})
+            factor = odd_products.get(mask)
+            if factor is None:
+                factor = one
+                for j in _path(mask):
+                    factor = factor * odd[j]
+                odd_products[mask] = factor
+            part.append(combination * factor)
+        coords.append(sum_terms(part) if part else one._new({}))
+    return Skeleton._make(f.domain, g.codomain, tuple(coords), f.dom_box)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from superpoints import (
     Skeleton,
     SuperSpace,
+    cs_structure,
     identity_skeleton,
     parse_superfunction,
     skeleton_eval,
@@ -93,6 +94,17 @@ class TestFormsAreFresh:
             assert skel == twin
             assert (hash(skel), repr(skel), skeleton_eval(skel, x)) == before
             assert skeleton_eval(skel, x) == skeleton_eval(twin, x)
+
+    def test_clearing_multilinear_coefficients_changes_nothing(self):
+        table = cs_structure()
+        before = (hash(table), repr(table), dict(table.coeffs))
+        for change in (lambda c: c.clear(), lambda c: c.__setitem__(((1, 1), 1), 5)):
+            try:
+                change(table.coeffs)
+            except (AttributeError, TypeError):
+                pass
+        assert table == cs_structure()
+        assert (hash(table), repr(table), dict(table.coeffs)) == before
 
 
 class TestFormsAboveTheGeneratorCount:

@@ -175,3 +175,32 @@ class TestCliWorkBound:
         for power, inner in [(91, "1 + x1 + x2"), (550, "12345/678 + 98765/4321*x1")]:
             with pytest.raises(Reached):
                 compose(power, inner)
+
+    def test_skel_eval_odd_products(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "skeleton_eval", _reached)
+
+        def evaluate(n, k, terms):
+            # the 0|k -> 1|1 skeleton t1..tk -> 1 in the coordinate of parity
+            # k, at a point whose k odd coordinates each hold the first
+            # `terms` generators
+            entry = {"odd_idx": list(range(1, k + 1)), "out": 1 + k % 2, "poly": "1"}
+            skel = {
+                "domain": {"p": 0, "q": k}, "codomain": {"p": 1, "q": 1}, "dom_box": None,
+                "maps": [{"k": k, "entries": [entry]}],
+            }
+            odd = {"n": n, "terms": [{"idx": [i], "coeff": i} for i in range(1, terms + 1)]}
+            point = {"space": {"p": 0, "q": k}, "n": n, "coords": [odd] * k}
+            path = tmp_path / "eval.json"
+            path.write_text(json.dumps({"skeleton": skel, "point": point}))
+            return cli.main(["skel-eval", str(path)])
+
+        # min(n**k, C(n, k)): C(16, 8) = 12,870 and C(20, 10) = 184,756 terms;
+        # the bench's 3|3 point over 10 generators has min(4**3, C(10, 3)) = 64
+        for n, k in [(16, 8), (20, 10)]:
+            code = evaluate(n, k, n)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert "odd product" in captured.err
+        for n, k, terms in [(10, 3, 4), (14, 7, 14), (20, 10, 2)]:  # 64, 3,432 and 2**10 terms
+            with pytest.raises(Reached):
+                evaluate(n, k, terms)
