@@ -15,9 +15,6 @@ from math import comb, prod
 from . import jsonio
 from .errors import (
     DimensionError,
-    DomainError,
-    NotInvertibleError,
-    ParityError,
     ParseError,
     ReconstructionError,
     SchemaError,
@@ -168,10 +165,16 @@ def _show(value, as_json: bool) -> None:
         _emit(jsonio.superfunction_to_json(value))
 
 
-def _cmd_eval(args) -> int:
+def _expression(args) -> str:
+    """The expression of ``eval`` and ``inv``: inline, or read from ``--file``."""
     text = _read_source(args.file) if args.file else args.expr
     if text is None:
         raise ValueError("an expression or --file is required")
+    return text
+
+
+def _cmd_eval(args) -> int:
+    text = _expression(args)
     if args.p is not None or args.q is not None:
         value = parse_superfunction(text, args.p or 0, args.q or 0)
     else:
@@ -185,10 +188,7 @@ def _cmd_eval(args) -> int:
 def _cmd_inv(args) -> int:
     if args.n is None:
         raise ValueError("-n is required")
-    text = _read_source(args.file) if args.file else args.expr
-    if text is None:
-        raise ValueError("an expression or --file is required")
-    _show(gr_inv(parse_element(text, args.n)), args.json)
+    _show(gr_inv(parse_element(_expression(args), args.n)), args.json)
     return 0
 
 
@@ -302,18 +302,35 @@ def _cmd_cs_table(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "inv": _cmd_inv,
-    "strace": _cmd_strace,
-    "minv": _cmd_minv,
-    "lift": _cmd_lift,
-    "reconstruct": _cmd_reconstruct,
-    "check-nat": _cmd_check_nat,
-    "skel-eval": _cmd_skel_eval,
-    "skel-compose": _cmd_skel_compose,
-    "superrep-check": _cmd_superrep_check,
-    "cs-table": _cmd_cs_table,
+#: What a subcommand may take, by the name ``_COMMANDS`` lists it under; a
+#: trailing ``?`` marks an optional positional.
+_ARGUMENTS = {
+    "expr": {"nargs": "?", "help": "inline expression"},
+    "--file": {"help": "read the expression from a file, '-' for stdin"},
+    "file": {"help": "JSON input file, '-' for stdin"},
+    "file?": {"nargs": "?", "help": "candidate JSON file, '-' for stdin"},
+    "-n": {"type": int, "help": "Grassmann generator count"},
+    "-p": {"type": int, "help": "even dimension"},
+    "-q": {"type": int, "help": "odd dimension"},
+    "--json": {"action": "store_true", "help": "emit JSON instead of canonical text"},
+    "--builtin": {"choices": ["vbar", "vnil"],
+                  "help": "use the point functor (or its nilpotent part) of the format -p/-q"},
+}
+
+#: Each subcommand: its handler, its help text and the arguments the handler reads.
+_COMMANDS = {
+    "eval": (_cmd_eval, "parse and print an expression", ("expr", "--file", "-n", "-p", "-q", "--json")),
+    "inv": (_cmd_inv, "invert a Grassmann expression", ("expr", "--file", "-n", "--json")),
+    "strace": (_cmd_strace, "supertrace of a JSON supermatrix", ("file", "--json")),
+    "minv": (_cmd_minv, "invert a JSON supermatrix", ("file",)),
+    "lift": (_cmd_lift, "lift a multilinear map to points and evaluate", ("file",)),
+    "reconstruct": (_cmd_reconstruct, "recover a multilinear map from a point family", ("file",)),
+    "check-nat": (_cmd_check_nat, "naturality report for a family against a morphism", ("file",)),
+    "skel-eval": (_cmd_skel_eval, "evaluate a skeleton at a point", ("file",)),
+    "skel-compose": (_cmd_skel_compose, "compose two skeletons", ("file",)),
+    "superrep-check": (_cmd_superrep_check, "test a candidate module for superrepresentability",
+                       ("file?", "--builtin", "-n", "-p", "-q")),
+    "cs-table": (_cmd_cs_table, "derived multiplication table on the format 1|1", ("--json",)),
 }
 
 
@@ -323,55 +340,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Grassmann-algebra and functor-of-points calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, expr=False, file_positional=False):
-        p = sub.add_parser(name, help=help_text)
-        if expr:
-            p.add_argument("expr", nargs="?", help="inline expression")
-            p.add_argument("--file", help="read the expression from a file, '-' for stdin")
-        if file_positional:
-            p.add_argument("file", help="JSON input file, '-' for stdin")
-        p.add_argument("-n", type=int, default=None, help="Grassmann generator count")
-        p.add_argument("-p", type=int, default=None, help="even dimension")
-        p.add_argument("-q", type=int, default=None, help="odd dimension")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of canonical text")
-        return p
-
-    add("eval", "parse and print an expression", expr=True)
-    add("inv", "invert a Grassmann expression", expr=True)
-    add("strace", "supertrace of a JSON supermatrix", file_positional=True)
-    add("minv", "invert a JSON supermatrix", file_positional=True)
-    add("lift", "lift a multilinear map to points and evaluate", file_positional=True)
-    add("reconstruct", "recover a multilinear map from a point family", file_positional=True)
-    add("check-nat", "naturality report for a family against a morphism", file_positional=True)
-    add("skel-eval", "evaluate a skeleton at a point", file_positional=True)
-    add("skel-compose", "compose two skeletons", file_positional=True)
-    rep = add("superrep-check", "test a candidate module for superrepresentability")
-    rep.add_argument("file", nargs="?", help="candidate JSON file, '-' for stdin")
-    rep.add_argument(
-        "--builtin",
-        choices=["vbar", "vnil"],
-        help="use the point functor (or its nilpotent part) of the format -p/-q",
-    )
-    add("cs-table", "derived multiplication table on the format 1|1")
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            command.add_argument(argument.rstrip("?"), **_ARGUMENTS[argument])
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        return _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except (DimensionError, ParityError, NotInvertibleError, DomainError) as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except ReconstructionError as exc:
         print(exc, file=sys.stderr)
         if exc.witness is not None:
@@ -380,7 +366,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"missing field: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, ArithmeticError, TypeError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, byte-exact documented outputs."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpoints import GrassmannElement, LambdaPoint, SuperMatrix, SuperSpace, jsonio, lift_multilinear
+from superpoints import GrassmannElement, LambdaPoint, SuperMatrix, SuperSpace, cli, jsonio, lift_multilinear
 from superpoints.cli import family_from_json, main
 from superpoints.sampling import random_invertible_matrix, random_multilinear, random_point
 
@@ -540,3 +541,111 @@ class TestDeterminism:
             code, out, err = run_cli(capsys, "eval", "-n", "3", "(1+t1)*(2+t2*t3) - 1/3")
             results.add((code, out, err))
         assert len(results) == 1
+
+
+def _candidate(n_max):
+    """The point functor of 1|0 as a candidate file: the body 1 over each algebra."""
+    one = [([], "1")]
+    return {"ambient": {"p": 1, "q": 0}, "n_max": n_max,
+            "basis": {str(n): [_point(1, 0, n, [one])] for n in range(n_max + 1)}}
+
+
+#: the options each subcommand takes, besides its positional
+TAKES = {
+    "eval": {"--file", "-n", "-p", "-q", "--json"},
+    "inv": {"--file", "-n", "--json"},
+    "strace": {"--json"},
+    "minv": set(),
+    "lift": set(),
+    "reconstruct": set(),
+    "check-nat": set(),
+    "skel-eval": set(),
+    "skel-compose": set(),
+    "superrep-check": {"--builtin", "-n", "-p", "-q"},
+    "cs-table": {"--json"},
+}
+OPTIONS = {"--file": ["--file", "-"], "-n": ["-n", "1"], "-p": ["-p", "1"], "-q": ["-q", "1"],
+           "--json": ["--json"], "--builtin": ["--builtin", "vbar"]}
+POSITIONAL = {"eval": ["1"], "inv": ["1"], "superrep-check": [], "cs-table": []}
+
+
+class TestArgumentTable:
+    """Each subcommand takes only the arguments its handler reads."""
+
+    def test_table_keys_are_the_subcommands(self):
+        (action,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == list(cli._COMMANDS) == list(TAKES)
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, takes in TAKES.items() for option in OPTIONS if option not in takes
+    ])
+    def test_an_option_not_taken_is_a_usage_error(self, capsys, command, option):
+        argv = [command, *POSITIONAL.get(command, ["in.json"]), *OPTIONS[option]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "usage:" in captured.err
+
+    def valid_inputs(self, tmp_path):
+        """One valid argv per handler and mode, with its input files."""
+
+        def write(name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        expression = tmp_path / "expr.txt"
+        expression.write_text("1 + t1")
+        identity = write("identity.json", jsonio.matrix_to_json(SuperMatrix.identity(SuperSpace(1, 1), 1)))
+        odd = [_point(0, 1, 2, [[([i], "1")]]) for i in (1, 2)]
+        family = TestLiftReconstructCheckNat.FAMILY
+        skeleton = TestSkeletonCommands.SKELETON
+        point = _point(1, 2, 2, [[([], "3")], [([1], "1")], [([2], "1")]])
+        g = {"domain": {"p": 1, "q": 0}, "codomain": {"p": 1, "q": 0}, "dom_box": None,
+             "maps": [{"k": 0, "entries": [{"odd_idx": [], "out": 1, "poly": "x1^2"}]}]}
+        lift = {"map": {"domains": [{"p": 0, "q": 1}] * 2, "codomain": {"p": 1, "q": 0},
+                        "entries": [{"in": [1, 1], "out": 1, "coeff": "1"}]}, "args": odd}
+        phi = {"src": 2, "dst": 2, "images": [_element(2, [([1], "1")]), _element(2, [([2], "1")])]}
+        return [
+            ["eval", "-n", "2", "--json", "t2*t1"],
+            ["eval", "-p", "1", "-q", "1", "--file", str(expression)],
+            ["inv", "-n", "1", "1 + t1"],
+            ["strace", identity],
+            ["minv", identity],
+            ["lift", write("lift.json", lift)],
+            ["reconstruct", write("family.json", family)],
+            ["check-nat", write("nat.json", {"family": family, "morphism": phi, "samples": [odd]})],
+            ["skel-eval", write("eval.json", {"skeleton": skeleton, "point": point})],
+            ["skel-compose", write("compose.json", {"g": g, "f": skeleton})],
+            ["superrep-check", write("candidate.json", _candidate(1))],
+            ["superrep-check", "--builtin", "vnil", "-p", "1", "-q", "1", "-n", "2"],
+            ["cs-table"],
+        ]
+
+    def test_handlers_read_exactly_their_arguments(self, capsys, tmp_path):
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("_"):
+                    object.__getattribute__(self, "_read").add(name)
+                return object.__getattribute__(self, name)
+
+        declared, read = {}, {}
+        for argv in self.valid_inputs(tmp_path):
+            values = vars(cli._build_parser().parse_args(argv))
+            command = values.pop("command")
+            args = Recording(**values)
+            object.__setattr__(args, "_read", read.setdefault(command, set()))
+            assert cli._COMMANDS[command][0](args) == 0, argv
+            declared[command] = set(values)
+            capsys.readouterr()
+        assert read == declared
+        assert set(declared) == set(cli._COMMANDS)
+
+    def test_arithmetic_error_exits_1(self, capsys, monkeypatch):
+        def divide(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "cs_structure", divide)
+        assert run_cli(capsys, "cs-table") == (1, "", "division by zero\n")
+
