@@ -1,8 +1,10 @@
 """Command-line front end: expression evaluation and JSON-driven core operations.
 
 Exit codes: 0 on success, 1 on domain errors (dimension or parity mismatches,
-singular bodies, rejected reconstructions, bad schemas), 2 on parse errors
-(expression syntax and malformed JSON).
+singular bodies, rejected reconstructions, bad schemas, inputs that exclude
+each other, work beyond the bounds), 2 on usage errors (a missing argument or
+one the subcommand does not take) and parse errors (expression syntax and
+malformed JSON).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from math import comb, prod
 
 from . import jsonio
@@ -167,6 +170,8 @@ def _show(value, as_json: bool) -> None:
 
 def _expression(args) -> str:
     """The expression of ``eval`` and ``inv``: inline, or read from ``--file``."""
+    if args.file is not None and args.expr is not None:
+        raise ValueError("an expression and --file exclude each other")
     text = _read_source(args.file) if args.file else args.expr
     if text is None:
         raise ValueError("an expression or --file is required")
@@ -176,6 +181,8 @@ def _expression(args) -> str:
 def _cmd_eval(args) -> int:
     text = _expression(args)
     if args.p is not None or args.q is not None:
+        if args.n is not None:
+            raise ValueError("-n (Grassmann mode) and -p/-q (superfunctions) exclude each other")
         value = parse_superfunction(text, args.p or 0, args.q or 0)
     else:
         if args.n is None:
@@ -236,18 +243,47 @@ def _cmd_check_nat(args) -> int:
     return 0
 
 
+def _product_terms(n: int, factors) -> Iterator[int]:
+    """Bounds on the terms of each prefix product of ``factors``, each the
+    ``e``-th power of a Grassmann element over ``n`` generators with ``T``
+    terms of degrees ``lo`` to ``hi``, given as ``(T, lo, hi, e)``.
+
+    ``e`` factors of ``T`` terms multiply into at most ``C(T + e - 1, e)``
+    terms, and a product whose monomial degrees run from ``lo`` to ``hi``, all
+    of one parity, into at most the sum of ``C(n, d)`` over those degrees.
+    """
+    count = 1
+    lo = hi = 0
+    for terms, low, high, e in factors:
+        count *= comb(terms + e - 1, e)
+        lo += e * low
+        hi += e * high
+        yield count if count <= POWER_LIMIT else sum(comb(n, d) for d in range(lo, min(n, hi) + 1, 2))
+
+
 def _cmd_skel_eval(args) -> int:
     obj = _load_json(args.file)
     skel = jsonio.skeleton_from_json(_field(obj, "$", "skeleton", dict), "$.skeleton")
     point = jsonio.point_from_json(_field(obj, "$", "point", dict), "$.point")
     if point.space == skel.domain:
-        # a term in the odd directions J multiplies the point's odd
-        # coordinates at J into at most min(product of their term counts,
-        # C(n, |J|)) terms
-        odd = point.coords[point.space.p :]
-        for mask in {mask for coord in skel.coords for mask in coord.terms}:
-            if min(prod(len(odd[b].terms) for b in _path(mask)), comb(point.n, mask.bit_count())) > POWER_LIMIT:
-                raise ValueError(f"an odd product of the value would exceed {POWER_LIMIT} terms")
+        # skeleton_eval's walk multiplies, for each term x^e * t_J with |J| <= n,
+        # the point's odd coordinates at J in ascending order and then the
+        # powers x_a^e_a, each power computed from lower ones: every prefix
+        # product is bounded, and every power x_a^j with j up to the greatest
+        # exponent of x_a.  Past n such a power vanishes when x_a has no body,
+        # and its bound grows with j when it has one.
+        p, n = point.space.p, point.n
+        shape = [(len(x.terms), min(map(int.bit_count, x.terms), default=0),
+                  max(map(int.bit_count, x.terms), default=0)) for x in point.coords]
+        terms = {(mask, e) for coord in skel.coords for mask, poly in coord.terms.items()
+                 if mask.bit_count() <= n for e in poly.terms}
+        paths = [[(*shape[p + b], 1) for b in _path(mask)] + [(*shape[a], k) for a, k in enumerate(e) if k]
+                 for mask, e in terms]
+        for a in range(p):
+            top = max((e[a] for _, e in terms), default=0)
+            paths += [[(*shape[a], j)] for j in {*range(1, min(top, n) + 1), top} if j]
+        if any(bound > POWER_LIMIT for path in paths for bound in _product_terms(n, path)):
+            raise ValueError(f"a power or odd product of the value would exceed {POWER_LIMIT} terms")
     _emit(jsonio.point_to_json(skeleton_eval(skel, point)))
     return 0
 
@@ -272,6 +308,8 @@ def _cmd_skel_compose(args) -> int:
 
 def _cmd_superrep_check(args) -> int:
     if args.builtin:
+        if args.file is not None:
+            raise ValueError("a candidate file and --builtin exclude each other")
         if args.p is None or args.q is None:
             raise ValueError("--builtin requires -p and -q")
         space = SuperSpace(args.p, args.q)
@@ -283,6 +321,8 @@ def _cmd_superrep_check(args) -> int:
     else:
         if not args.file:
             raise ValueError("a candidate file or --builtin is required")
+        if (args.n, args.p, args.q) != (None, None, None):
+            raise ValueError("-n, -p and -q describe a --builtin candidate, not a candidate file")
         candidate = candidate_from_json(_load_json(args.file))
     _emit(jsonio.superrep_verdict_to_json(superrep_check(candidate)))
     return 0

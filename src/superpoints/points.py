@@ -411,19 +411,18 @@ class CandidateModule:
     ambient: SuperSpace
     n_max: int
     basis: Callable[[int], Sequence[LambdaPoint]]
-    name: str = "candidate"
 
 
 def vbar_module(space: SuperSpace, n_max: int = N_MAX_DEFAULT) -> CandidateModule:
     """The full point functor of ``space`` as a candidate module."""
     basis = functools.partial(_basis_points, space, False)
-    return CandidateModule(space, n_max, basis, name=f"points of {space}")
+    return CandidateModule(space, n_max, basis)
 
 
 def vnil_module(space: SuperSpace, n_max: int = N_MAX_DEFAULT) -> CandidateModule:
     """The nilpotent-part subfunctor: coordinates with vanishing body."""
     basis = functools.partial(_basis_points, space, True)
-    return CandidateModule(space, n_max, basis, name=f"nilpotent points of {space}")
+    return CandidateModule(space, n_max, basis)
 
 
 def _basis_points(space: SuperSpace, nilpotent: bool, n: int) -> list[LambdaPoint]:

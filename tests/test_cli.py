@@ -649,3 +649,29 @@ class TestArgumentTable:
         monkeypatch.setattr(cli, "cs_structure", divide)
         assert run_cli(capsys, "cs-table") == (1, "", "division by zero\n")
 
+
+class TestExclusiveInputs:
+    """An input that the chosen mode would not read is refused, not dropped."""
+
+    def test_eval_n_with_p_and_q(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "-n", "2", "-p", "1", "-q", "1", "t1")
+        assert (code, out, err) == (1, "", "-n (Grassmann mode) and -p/-q (superfunctions) exclude each other\n")
+
+    def test_expression_with_file(self, capsys, tmp_path):
+        path = tmp_path / "expr.txt"
+        path.write_text("t1")
+        for command in ("eval", "inv"):
+            code, out, err = run_cli(capsys, command, "-n", "2", "--file", str(path), "1 + t2")
+            assert (code, out, err) == (1, "", "an expression and --file exclude each other\n")
+
+    def test_superrep_file_with_builtin(self, capsys, tmp_path):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(_candidate(1)))
+        code, out, err = run_cli(capsys, "superrep-check", str(path), "--builtin", "vbar", "-p", "1", "-q", "1")
+        assert (code, out, err) == (1, "", "a candidate file and --builtin exclude each other\n")
+
+    def test_superrep_file_with_n(self, capsys, tmp_path):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(_candidate(1)))
+        code, out, err = run_cli(capsys, "superrep-check", str(path), "-n", "4")
+        assert (code, out, err) == (1, "", "-n, -p and -q describe a --builtin candidate, not a candidate file\n")

@@ -22,6 +22,7 @@ from superpoints.poly import PolyCoeff
 from superpoints.skeleton import _interpolate, _lagrange_weights, _probe_forms
 
 from helpers import poly_eval, random_polynomial_supermap, reference_candidate
+from test_cli import _point
 from test_skeleton import NOT_SUPERSMOOTH
 
 
@@ -204,3 +205,72 @@ class TestCliWorkBound:
         for n, k, terms in [(10, 3, 4), (14, 7, 14), (20, 10, 2)]:  # 64, 3,432 and 2**10 terms
             with pytest.raises(Reached):
                 evaluate(n, k, terms)
+
+
+def _pairs(k):
+    """``t1*t2 + t3*t4 + ... + t(2k-1)*t(2k)``."""
+    return [((2 * i + 1, 2 * i + 2), 1) for i in range(k)]
+
+
+class TestSkelEvalBound:
+    """``skel-eval`` bounds every product its walk forms, before any work."""
+
+    def evaluate(self, tmp_path, p, q, cod, entries, n, coords):
+        maps = [{"k": k, "entries": [{"odd_idx": odd, "out": out, "poly": poly}
+                                     for odd, out, poly in entries if len(odd) == k]} for k in range(q + 1)]
+        skel = {"domain": {"p": p, "q": q}, "codomain": {"p": cod[0], "q": cod[1]}, "dom_box": None, "maps": maps}
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps({"skeleton": skel, "point": _point(p, q, n, coords)}))
+        return cli.main(["skel-eval", str(path)])
+
+    @pytest.fixture(autouse=True)
+    def unreachable(self, monkeypatch):
+        monkeypatch.setattr(cli, "skeleton_eval", _reached)
+
+    def assert_refused(self, capsys, code):
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "odd product" in captured.err
+
+    def test_even_powers(self, capsys, tmp_path):
+        # x1^e at a sum of k disjoint pairs has C(k, e) terms: C(20, 10) =
+        # 184,756 and C(16, 8) = 12,870; x1^20 is one term, but the square and
+        # multiply forms x1^8 with C(20, 8) = 125,970 terms
+        for power, k in [(10, 20), (8, 16), (20, 20)]:
+            self.assert_refused(capsys, self.evaluate(tmp_path, 1, 0, (1, 0), [([], 1, f"x1^{power}")],
+                                                      2 * k, [_pairs(k)]))
+        with pytest.raises(Reached):  # C(22, 3) = 1,540 terms
+            self.evaluate(tmp_path, 1, 0, (1, 0), [([], 1, "x1^3")], 40, [_pairs(20)])
+
+    def test_power_with_a_body(self, capsys, tmp_path):
+        # a power of 1 + quadratics over n generators has at most 2**(n-1)
+        # terms, the even degrees, whatever the exponent: 4,096 at n = 13, but
+        # 2**19 at n = 20, where x1^10 is formed even though the term it
+        # enters, t1..t19 * x1^10 at t_i -> t_i, has at most C(20, 19) = 20
+        def quadratics(n):
+            return [((), 1)] + [(m, 1) for m in itertools.combinations(range(1, n + 1), 2)]
+
+        with pytest.raises(Reached):
+            self.evaluate(tmp_path, 1, 0, (1, 0), [([], 1, "x1^4300")], 13, [quadratics(13)])
+        odd = [[((i,), 1)] for i in range(1, 20)]
+        code = self.evaluate(tmp_path, 1, 19, (1, 19), [(list(range(1, 20)), 20, "x1^10")], 20,
+                             [quadratics(20)] + odd)
+        self.assert_refused(capsys, code)
+
+    def test_dense_odd_coordinates(self, capsys, tmp_path):
+        # t1*t2*t3 at three coordinates holding all 1,140 cubic monomials over
+        # 20 generators has up to C(20, 9) = 167,960 terms, though C(20, 3) = 1,140
+        rng = random.Random(3)
+        cubic = [[(m, rng.randint(1, 9)) for m in itertools.combinations(range(1, 21), 3)] for _ in range(3)]
+        self.assert_refused(capsys, self.evaluate(tmp_path, 0, 3, (0, 1), [([1, 2, 3], 1, "1")], 20, cubic))
+
+    def test_prefix_products(self, capsys, tmp_path):
+        # t1..t20 at linear odd coordinates over 20 generators is one term, but
+        # the walk first forms t1..t10 with up to C(20, 10) = 184,756 terms
+        rng = random.Random(5)
+        coords = [[((i,), rng.randint(1, 9)) for i in range(1, 21)] for _ in range(20)]
+        self.assert_refused(capsys, self.evaluate(tmp_path, 0, 20, (1, 0), [(list(range(1, 21)), 1, "1")], 20, coords))
+
+    def test_zero_skeleton_is_evaluated(self, tmp_path):
+        with pytest.raises(Reached):
+            self.evaluate(tmp_path, 1, 0, (1, 0), [], 1, [[((), 3)]])
