@@ -788,14 +788,23 @@ def morphism_apply(phi: GrassmannMorphism, a: GrassmannElement) -> GrassmannElem
     return _substitute(phi, (a,))[0]
 
 
-def _substitute(phi: GrassmannMorphism, elements: Sequence[GrassmannElement]) -> list[GrassmannElement]:
+def _element_trie(elements: Sequence[GrassmannElement]) -> tuple[int, int, tuple]:
+    """The trie of ``_substitute`` for ``elements``: the path of a monomial is
+    its generator indices in ascending order and the leaf is the element's
+    position.  It does not depend on the morphism."""
+    return _product_trie((_path(mask), out, c) for out, a in enumerate(elements) for mask, c in a.terms.items())
+
+
+def _substitute(
+    phi: GrassmannMorphism, elements: Sequence[GrassmannElement], trie: tuple[int, int, tuple] | None = None
+) -> list[GrassmannElement]:
     """The images under ``phi`` of elements over ``phi.src_n``, in one walk.
 
-    The elements form one trie for ``_sum_of_products``: the path of a
-    monomial is its generator indices in ascending order, the leaf is the
-    element's position, and the factors are the numerators of the generator
-    images over their one denominator, cached on ``phi``.  Monomials with the
-    same lower generators share one prefix product, also across elements.
+    The elements form one trie for ``_sum_of_products`` (``_element_trie``;
+    a caller that pushes the same elements along several morphisms passes it
+    as ``trie``), and the factors are the numerators of the generator images
+    over their one denominator, cached on ``phi``.  Monomials with the same
+    lower generators share one prefix product, also across elements.
     """
     if not any(a.terms for a in elements):
         return [GrassmannElement._make(phi.dst_m, {})] * len(elements)
@@ -804,7 +813,8 @@ def _substitute(phi: GrassmannMorphism, elements: Sequence[GrassmannElement]) ->
         nums = _numerators([img.terms for img in phi.images])
         phi._cache("_nums", nums)
     d, gens = nums
-    trie = _product_trie((_path(mask), out, c) for out, a in enumerate(elements) for mask, c in a.terms.items())
+    if trie is None:
+        trie = _element_trie(elements)
     return _elements(phi.dst_m, _sum_of_products(phi.dst_m, trie, gens, d, len(elements)))
 
 

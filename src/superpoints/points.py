@@ -126,9 +126,13 @@ def scale_point(scalar, x: LambdaPoint) -> LambdaPoint:
 def base_change(phi: GrassmannMorphism, x: LambdaPoint) -> LambdaPoint:
     """Push a point forward along a Grassmann morphism: one substitution walk
     over all coordinates."""
+    _check_source(phi, x)
+    return LambdaPoint._make(x.space, phi.dst_m, tuple(_substitute(phi, x.coords)))
+
+
+def _check_source(phi: GrassmannMorphism, x: LambdaPoint) -> None:
     if x.n != phi.src_n:
         raise DimensionError(f"point over {x.n} generators, morphism expects {phi.src_n}")
-    return LambdaPoint._make(x.space, phi.dst_m, tuple(_substitute(phi, x.coords)))
 
 
 def decompose_point(x: LambdaPoint) -> tuple[SuperVector, LambdaPoint]:
@@ -293,11 +297,40 @@ def check_naturality(
     for sample in samples:
         args = (sample,) if isinstance(sample, LambdaPoint) else tuple(sample)
         count += 1
-        lhs = family(phi.dst_m, tuple(base_change(phi, x) for x in args))
-        rhs = base_change(phi, family(phi.src_n, args))
-        if lhs != rhs:
-            violations.append(NaturalityViolation(phi, args, lhs, rhs))
+        for x in args:
+            _check_source(phi, x)
+        try:
+            value = family(phi.src_n, args)
+        except Exception:
+            # a family that refuses the sample is reported by the error of the
+            # square's first call, the one on the pushed sample, if it has one
+            family(phi.dst_m, tuple(base_change(phi, x) for x in args))
+            raise
+        violation = _naturality_square(family, phi, args, value)
+        if violation is not None:
+            violations.append(violation)
     return NaturalityReport(phi, count, tuple(violations))
+
+
+def _naturality_square(
+    family: PointFamily,
+    phi: GrassmannMorphism,
+    args: tuple[LambdaPoint, ...],
+    value: LambdaPoint,
+    trie: tuple[int, int, tuple] | None = None,
+) -> NaturalityViolation | None:
+    """The square of one sample ``args`` over ``phi.src_n`` whose value
+    ``family(phi.src_n, args)`` is ``value``: the arguments and the value are
+    pushed forward along ``phi`` in one ``_substitute`` walk, and the family is
+    called once, on the pushed arguments.  ``None`` when the square commutes.
+    A caller that checks one sample under many morphisms passes ``trie``, the
+    ``_element_trie`` of the coordinates of ``args`` and then ``value``.
+    """
+    pushed = iter(_substitute(phi, [c for x in (*args, value) for c in x.coords], trie))
+    images = tuple(LambdaPoint._make(x.space, phi.dst_m, tuple(itertools.islice(pushed, x.space.dim))) for x in args)
+    rhs = LambdaPoint._make(value.space, phi.dst_m, tuple(pushed))
+    lhs = family(phi.dst_m, images)
+    return None if lhs == rhs else NaturalityViolation(phi, args, lhs, rhs)
 
 
 def reconstruct_multilinear(family: PointFamily) -> MultilinearMap:

@@ -25,16 +25,26 @@ def random_element(
     max_terms: int = 3,
     max_num: int = 4,
 ) -> GrassmannElement:
-    masks = [m for m in range(1 << n)]
-    if parity is Parity.EVEN:
-        masks = [m for m in masks if m.bit_count() % 2 == 0]
-    elif parity is Parity.ODD:
-        masks = [m for m in masks if m.bit_count() % 2 == 1]
+    """Up to ``max_terms`` monomials, each drawn uniformly among the masks of
+    the wanted parity in increasing order.
+
+    The ``i``-th even mask is ``2*i`` or ``2*i + 1``, whichever has an even
+    bit count, and the odd one is the other, so no list of the ``2**n`` masks
+    is built.  ``randrange(k)`` consumes the random stream as ``choice`` of a
+    ``k``-item list does.
+    """
+    bit = {Parity.EVEN: 0, Parity.ODD: 1}.get(parity)
+    if bit is None:
+        size = 1 << n
+    else:
+        size = 1 << n - 1 if n else 1 - bit
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        if not masks:
+        if not size:
             break
-        terms[rng.choice(masks)] = random_rational(rng, max_num)
+        coeff = random_rational(rng, max_num)  # drawn before its mask
+        i = rng.randrange(size)
+        terms[i if bit is None else 2 * i + ((i.bit_count() & 1) ^ bit)] = coeff
     return GrassmannElement(n, terms)
 
 

@@ -41,6 +41,7 @@ from .errors import DimensionError, DomainError, ParityError
 from .grassmann import (
     GrassmannElement,
     _SparseForm,
+    _element_trie,
     _elements,
     _numerators,
     _odd_monomial,
@@ -62,7 +63,7 @@ from .points import (
     LambdaPoint,
     N_MAX_DEFAULT,
     PointFamily,
-    check_naturality,
+    _naturality_square,
     reconstruct_multilinear,
     reversal_sign,
 )
@@ -414,9 +415,13 @@ def cs_structure(n_max: int = N_MAX_DEFAULT) -> MultilinearMap:
 
 @dataclass(frozen=True)
 class SupersmoothVerdict:
+    """The verdict of ``check_supersmooth``.  ``checked`` is what gates 1, 2
+    and 3 ran: family calls, bodies compared and (morphism, point) squares."""
+
     supersmooth: bool
     skeleton: Skeleton | None
     diagnostics: tuple[str, ...]
+    checked: tuple[int, int, int]
 
     @property
     def passed(self) -> bool:
@@ -505,6 +510,21 @@ def _universal_point(domain: SuperSpace, u: Sequence[Fraction], pairs: int) -> L
     return LambdaPoint._make(domain, n, tuple(coords))
 
 
+def _dense_point(domain: SuperSpace, n: int) -> LambdaPoint:
+    """The sample of gate 3 over Λ_n: each coordinate holds every monomial of
+    its parity, with the distinct coefficients ``1, 2, 3, ...`` numbered in
+    coordinate order and then in mask order, and each even coordinate has the
+    off-grid body ``-1/2``."""
+    coefficient = itertools.count(1)
+    coords = []
+    for i in domain.indices():
+        odd = domain.parity(i)
+        terms = {0: Fraction(-1, 2)} if not odd else {}
+        terms.update((m, Fraction(next(coefficient))) for m in range(1, 1 << n) if m.bit_count() & 1 == odd)
+        coords.append(GrassmannElement._make(n, terms))
+    return LambdaPoint._make(domain, n, tuple(coords))
+
+
 def check_supersmooth(
     family: PointFamily,
     max_degree: int = 4,
@@ -520,19 +540,26 @@ def check_supersmooth(
     with the candidate at the universal point over ``N = 2*p*(n_max-1) + q``
     generators (see ``_universal_point``; ``N`` can exceed ``n_max``) for
     every grid body and the closure bodies ``(-1/2, ...)`` and
-    ``(max_degree+1, ...)``.  Gate 3 checks naturality under a grid of
-    morphisms between the algebras on at most ``n_max`` generators, on points
-    drawn with ``seed``.
+    ``(max_degree+1, ...)``.  Gate 3 checks naturality under the
+    ``standard_morphisms`` grid between the algebras on at most ``n_max``
+    generators, at one fixed dense point per source count
+    (``_dense_point``), whose value the family gives once for the whole row
+    of the grid.  Gate 3 is a fixed probe set, not a certificate.
 
-    A ``True`` verdict carries the candidate.  It certifies naturality on that
-    grid and, for a natural family, agreement at every point over at most
-    ``n_max`` generators whose body is a node.  Other bodies rest on the
-    assumption that the components have degree at most ``max_degree`` in the
-    body.  A negative ``max_degree`` or ``n_max`` raises ``ValueError``.
+    The decision stops at its first failing gate, and ``checked`` counts what
+    each gate ran: the gate-1 family calls, the gate-2 bodies compared (the
+    failing one included) and the gate-3 (morphism, point) squares, 0 for a
+    gate that did not run.  No gate draws at random: ``seed`` is accepted and
+    does not affect the verdict.
+
+    A ``True`` verdict carries the candidate.  It shows naturality on the
+    grid at the dense points and certifies, for a natural family, agreement at
+    every point over at most ``n_max`` generators whose body is a node.  Other
+    bodies rest on the assumption that the components have degree at most
+    ``max_degree`` in the body.  A negative ``max_degree`` or ``n_max`` raises
+    ``ValueError``.
     """
-    from .sampling import random_point, standard_morphisms
-
-    import random
+    from .sampling import standard_morphisms
 
     if len(family.domains) != 1:
         raise DimensionError("supersmoothness applies to unary families")
@@ -542,15 +569,15 @@ def check_supersmooth(
         n_max = min(family.n_max, N_MAX_DEFAULT)
     if max_degree < 0 or n_max < 0:
         raise ValueError(f"max_degree and n_max must be non-negative, got {max_degree} and {n_max}")
-    diagnostics: list[str] = []
     p = domain.p
 
     # 1. candidate skeleton from one probe per body node
     forms = _probe_forms(family, max_degree)
+    probes = (max_degree + 1) ** p
     try:
         candidate = Skeleton(domain, codomain, forms)
     except (ParityError, DimensionError) as exc:
-        return SupersmoothVerdict(False, None, (f"probe data is not a skeleton: {exc}",))
+        return SupersmoothVerdict(False, None, (f"probe data is not a skeleton: {exc}",), (probes, 0, 0))
 
     # 2. agreement at the universal point over every body node; the two
     # closure nodes lie below and above the grid (one node when p = 0)
@@ -559,27 +586,31 @@ def check_supersmooth(
     bodies = dict.fromkeys(
         [*itertools.product(nodes, repeat=p), (Fraction(-1, 2),) * p, (Fraction(max_degree + 1),) * p]
     )
-    for u in bodies:
+    for compared, u in enumerate(bodies, start=1):
         x = _universal_point(domain, u, pairs)
         if family(x.n, (x,)) != skeleton_eval(candidate, x):
-            diagnostics.append(
+            diagnostic = (
                 f"component disagrees with every skeleton of degree <= {max_degree} at the "
                 f"universal point over {x.n} generators with body ({', '.join(map(str, u))})"
             )
-            break
+            return SupersmoothVerdict(False, None, (diagnostic,), (probes, compared, 0))
 
-    # 3. naturality under a deterministic morphism grid
-    rng = random.Random(seed)
+    # 3. naturality under a deterministic morphism grid at fixed dense points
+    diagnostics: list[str] = []
+    squares = 0
     for src in range(n_max + 1):
+        x = _dense_point(domain, src)
+        value = family(src, (x,))
+        trie = _element_trie(x.coords + value.coords)
         for dst in range(n_max + 1):
             for phi in standard_morphisms(src, dst):
-                samples = [(random_point(rng, domain, src),) for _ in range(2)]
-                report = check_naturality(family, phi, samples)
-                if not report.passed:
-                    v = report.violations[0]
+                squares += 1
+                v = _naturality_square(family, phi, (x,), value, trie)
+                if v is not None:
                     diagnostics.append(
                         f"not natural under {phi}: family({v.sample!r}) transforms to {v.rhs!r} but maps to {v.lhs!r}"
                     )
+    checked = (probes, len(bodies), squares)
     if diagnostics:
-        return SupersmoothVerdict(False, None, tuple(diagnostics))
-    return SupersmoothVerdict(True, candidate, ())
+        return SupersmoothVerdict(False, None, tuple(diagnostics), checked)
+    return SupersmoothVerdict(True, candidate, (), checked)

@@ -10,7 +10,11 @@ terminating geometric series around the body, on the public products and
 sums, instead of the library's recursion on the last generator, and the
 candidate skeleton of ``check_supersmooth`` by one probe per odd tuple,
 codomain coordinate and body node, interpolated as products of Lagrange basis
-polynomials, instead of one probe per body node.
+polynomials, instead of one probe per body node.  ``naturality_reference``
+checks a naturality square by public ``base_change`` of the sample and of its
+value, one at a time, instead of one shared walk, and
+``random_element_reference`` draws from the filtered list of masks that
+``sampling.random_element`` no longer builds.
 """
 
 from __future__ import annotations
@@ -21,10 +25,14 @@ from fractions import Fraction
 from superpoints import (
     GrassmannElement,
     LambdaPoint,
+    NaturalityReport,
+    NaturalityViolation,
+    Parity,
     PointFamily,
     Skeleton,
     SuperMatrix,
     SuperSpace,
+    base_change,
     body,
     body_matrix,
     gr_add,
@@ -38,6 +46,7 @@ from superpoints import (
 )
 from superpoints.grassmann import _path, indices_of_mask, sum_terms
 from superpoints.poly import PolyCoeff, poly_dot, power_tables
+from superpoints.sampling import random_rational
 from superpoints.skeleton import Superfunction
 
 
@@ -269,3 +278,34 @@ def reference_compose(g: Skeleton, f: Skeleton) -> Skeleton:
             part.append(combination * factor)
         coords.append(sum_terms(part) if part else one._new({}))
     return Skeleton._make(f.domain, g.codomain, tuple(coords), f.dom_box)
+
+
+def naturality_reference(family: PointFamily, phi, samples) -> NaturalityReport:
+    """``check_naturality`` on public ``base_change``: for each sample, the
+    family on the pushed sample first, then the pushed value of the family."""
+    violations = []
+    count = 0
+    for sample in samples:
+        args = (sample,) if isinstance(sample, LambdaPoint) else tuple(sample)
+        count += 1
+        lhs = family(phi.dst_m, tuple(base_change(phi, x) for x in args))
+        rhs = base_change(phi, family(phi.src_n, args))
+        if lhs != rhs:
+            violations.append(NaturalityViolation(phi, args, lhs, rhs))
+    return NaturalityReport(phi, count, tuple(violations))
+
+
+def random_element_reference(rng, n: int, parity=None, max_terms: int = 3, max_num: int = 4) -> GrassmannElement:
+    """``sampling.random_element`` by ``choice`` from the list of all ``2**n``
+    masks filtered by parity."""
+    masks = [m for m in range(1 << n)]
+    if parity is Parity.EVEN:
+        masks = [m for m in masks if m.bit_count() % 2 == 0]
+    elif parity is Parity.ODD:
+        masks = [m for m in masks if m.bit_count() % 2 == 1]
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        if not masks:
+            break
+        terms[rng.choice(masks)] = random_rational(rng, max_num)
+    return GrassmannElement(n, terms)

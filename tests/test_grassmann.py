@@ -29,7 +29,7 @@ from superpoints import (
 from superpoints.grassmann import MAX_GENERATORS, monomial_sign
 from superpoints.sampling import random_element
 
-from helpers import mul_reference, sign_by_sorting
+from helpers import mul_reference, random_element_reference, sign_by_sorting
 
 
 def theta(n, *indices):
@@ -315,6 +315,17 @@ class TestMorphisms:
                 a = random_element(rng, 3, parity)
                 image_parity = parity_of(morphism_apply(phi, a))
                 assert image_parity in (parity, Parity.ZERO)
+
+
+class TestRandomElement:
+    @pytest.mark.parametrize("parity", [None, Parity.EVEN, Parity.ODD, Parity.ZERO])
+    def test_same_draws_as_the_mask_list(self, parity):
+        for seed in range(40):
+            for n in range(9):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for max_terms in (1, 3, 5):
+                    assert random_element(rng, n, parity, max_terms) == random_element_reference(ref, n, parity, max_terms)
+                assert rng.getstate() == ref.getstate()
 
 
 class TestCanonicalForm:

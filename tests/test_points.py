@@ -46,6 +46,8 @@ from superpoints.sampling import (
     standard_morphisms,
 )
 
+from helpers import naturality_reference
+
 
 def theta(n, *indices):
     return GrassmannElement.monomial(n, indices)
@@ -346,6 +348,48 @@ class TestNaturality:
         for phi in standard_morphisms(3, 2):
             samples = [(random_point(rng, v, 3),) for _ in range(3)]
             assert check_naturality(family, phi, samples).passed
+
+    def test_equals_the_reference_on_base_change(self):
+        rng = random.Random(13)
+        v, w = SuperSpace(1, 1), SuperSpace(0, 2)
+        families = [
+            (lift_family(random_multilinear(rng, (v, w), v)), (v, w)),
+            (injected_constant_family(MultilinearMap.identity(v), out_index=1, indices=(1, 2)), (v,)),
+            (injected_constant_family(random_multilinear(rng, (w, v), v), out_index=2, indices=(2,)), (w, v)),
+            (identity_family(w), (w,)),
+        ]
+        violations = 0
+        for family, domains in families:
+            for src in range(4):
+                for dst in range(4):
+                    for phi in standard_morphisms(src, dst):
+                        samples = [tuple(random_point(rng, d, src, 3) for d in domains) for _ in range(2)]
+                        report = check_naturality(family, phi, samples)
+                        assert report == naturality_reference(family, phi, samples)
+                        violations += len(report.violations)
+        assert violations
+
+    @pytest.mark.parametrize("refuse", [lambda n: False, lambda n: True, lambda n: n == 2, lambda n: n == 3])
+    def test_errors_of_the_reference(self, refuse):
+        v = SuperSpace(1, 1)
+
+        def component(n, args):
+            if refuse(n):
+                raise ValueError(f"refused over {n} generators")
+            return args[0]
+
+        family = PointFamily((v,), v, component)
+        phi = standard_morphisms(2, 3)[-1]
+        x = random_point(random.Random(14), v, 2)
+
+        def outcome(check, samples):
+            try:
+                return check(family, phi, samples)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        for samples in ([(x,)], [x], [(x,), (LambdaPoint.zero(v, 3),)]):
+            assert outcome(check_naturality, samples) == outcome(naturality_reference, samples)
 
     def test_fixed_constant_family_fails_with_witness(self):
         rng = random.Random(12)

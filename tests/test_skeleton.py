@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from superpoints import (
     check_supersmooth,
     cs_structure,
     element_to_point,
+    identity_family,
     identity_skeleton,
     lift_multilinear,
     point_to_element,
@@ -553,3 +555,74 @@ class TestUniversalPointCertificate:
             verdict = check_supersmooth(family, max_degree=3, n_max=3, seed=s)
             assert verdict.supersmooth, (s, verdict.diagnostics)
             assert verdict.skeleton == supermap.skeleton()
+
+
+def dense_only_at_two(n, args):
+    """The 1|1 identity, except that over Λ_2 the product of the four
+    coefficients of the point is added to the ``t1*t2`` coefficient of its even
+    coordinate, which sparse points leave at zero.  Gates 1 and 2 at
+    ``n_max = 3`` never call it over Λ_2."""
+    t_coord, xi = args[0].coords
+    if n == 2:
+        weight = prod(c.terms.get(m, 0) for c, m in ((t_coord, 0), (t_coord, 0b11), (xi, 0b01), (xi, 0b10)))
+        t_coord = t_coord + gr_scale(weight, theta(2, 1, 2))
+    return LambdaPoint(args[0].space, n, (t_coord, xi))
+
+
+def polynomial_supermap_families():
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        dom = SuperSpace(p, q)
+        for s in range(1, 4):
+            supermap = random_polynomial_supermap(random.Random(s), dom, SuperSpace(1, 1), max_degree=2)
+            yield PointFamily((dom,), SuperSpace(1, 1), lambda n, args, f=supermap: f.substitute(args[0]))
+
+
+class TestFixedNaturalitySamples:
+    """Gate 3 at one fixed dense point per source count, and the decision that
+    stops at its first failing gate."""
+
+    def test_verdicts_do_not_depend_on_the_seed(self):
+        families = [*NOT_SUPERSMOOTH.values(), body_power_scaling(1), *polynomial_supermap_families()]
+        for family in families:
+            first = check_supersmooth(family, max_degree=3, n_max=3, seed=1)
+            for s in range(2, 21):
+                assert check_supersmooth(family, max_degree=3, n_max=3, seed=s) == first, s
+
+    def test_change_at_one_unprobed_count_rejected(self):
+        family = PointFamily((SuperSpace(1, 1),), SuperSpace(1, 1), dense_only_at_two)
+        for s in range(1, 21):
+            verdict = check_supersmooth(family, max_degree=3, n_max=3, seed=s)
+            assert not verdict.supersmooth
+            assert verdict.diagnostics and all(d.startswith("not natural under") for d in verdict.diagnostics)
+
+    def test_no_random_point(self, monkeypatch):
+        from superpoints import sampling
+
+        def refuse(*args):
+            raise AssertionError("check_supersmooth drew a random point")
+
+        monkeypatch.setattr(sampling, "random_point", refuse)
+        family = next(polynomial_supermap_families())
+        assert check_supersmooth(family, max_degree=3, n_max=3).supersmooth
+        assert not check_supersmooth(NOT_SUPERSMOOTH["t1*t2 injected"], max_degree=3, n_max=3).supersmooth
+
+    @pytest.mark.parametrize("name, failing", [("body^2 scaling", 1), ("sign-of-body branch", 5)])
+    def test_gate_2_ends_the_decision(self, name, failing):
+        family = NOT_SUPERSMOOTH[name]
+        calls = [0]
+
+        def component(n, args):
+            calls[0] += 1
+            return family.component(n, args)
+
+        verdict = check_supersmooth(PointFamily(family.domains, family.codomain, component), max_degree=3, n_max=3)
+        assert not verdict.supersmooth
+        assert len(verdict.diagnostics) == 1 and "universal point" in verdict.diagnostics[0]
+        assert verdict.checked == (4, failing, 0)
+        assert calls[0] == 4 + failing
+
+    def test_checked_counts_every_gate(self):
+        verdict = check_supersmooth(identity_family(SuperSpace(3, 2)), max_degree=4, n_max=4)
+        assert verdict.supersmooth
+        squares = sum(len(standard_morphisms(src, dst)) for src in range(5) for dst in range(5))
+        assert verdict.checked == (125, 127, squares) and squares == 121
